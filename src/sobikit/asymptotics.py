@@ -12,11 +12,11 @@ the efficiency criterion used to compare estimators and lag sets.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from .autocovariance import sample_autocov
 from .joint_diag import UnmixingResult
 from .signal_model import MAExpansion
 
@@ -161,47 +161,43 @@ def build_model(
     )
 
 
-def _shift_dot(a: np.ndarray, b: np.ndarray, c: int) -> float:
-    """sum_k a[k] b[k+c] over the stored window, zeros outside."""
-    n = a.size
-    if abs(c) >= n:
-        return 0.0
-    if c >= 0:
-        return float(np.dot(a[: n - c], b[c:]))
-    return float(np.dot(a[-c:], b[: n + c]))
+def _d_tensor(diag_seqs: np.ndarray, beta: np.ndarray, fsym: np.ndarray,
+              lags: np.ndarray) -> np.ndarray:
+    """All D_lm over a lag list at once: D[a, b] = D_{lags[a], lags[b]}.
 
-
-def _dlm_core(
-    diag_seqs: np.ndarray,
-    beta: np.ndarray,
-    l: int,
-    m: int,
-    fsym_l: np.ndarray | None,
-    fsym_m: np.ndarray | None,
-) -> np.ndarray:
-    """D_lm from diagonal autocovariance sequences.
-
-    The cross-component fourth-moment correction needs F_l + F_l'; passing
-    ``None`` asserts beta off-diagonals equal to 1 so the term vanishes.
+    Every entry comes from the cross-products c_ij(s) = sum_k rho_i(k)
+    rho_j(k + s) of the even sequences in ``diag_seqs``, one matmul per
+    distinct shift s in {|m - l|, m + l} (evenness gives c(-s) = c(s)).
+    Off-diagonal entries are (c(|m - l|) + c(m + l)) / 2 plus
+    (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij, with ``fsym[a]`` =
+    F_l + F_l' at l = lags[a]; diagonal entries are c_ii(|m - l|) +
+    c_ii(m + l) + (beta_ii - 3) lambda_l lambda_m.
     """
-    p, width = diag_seqs.shape
-    kmax = (width - 1) // 2
-    lam_l = diag_seqs[:, kmax + l]
-    lam_m = diag_seqs[:, kmax + m]
-    out = np.empty((p, p))
-    for i in range(p):
-        a = diag_seqs[i]
-        for j in range(p):
-            b = diag_seqs[j]
-            if i == j:
-                val = (beta[i, i] - 3.0) * lam_l[i] * lam_m[i]
-                val += _shift_dot(a, a, m - l) + _shift_dot(a, a, m + l)
-            else:
-                val = 0.5 * (_shift_dot(a, b, m - l) + _shift_dot(a, b, m + l))
-                if fsym_l is not None and beta[i, j] != 1.0:
-                    val += 0.25 * (beta[i, j] - 1.0) * fsym_l[i, j] * fsym_m[i, j]
-            out[i, j] = val
-    return out
+    p, n = diag_seqs.shape
+    kmax = (n - 1) // 2
+    size = lags.size
+    shifts = np.concatenate([np.abs(lags[:, None] - lags[None, :]),
+                             lags[:, None] + lags[None, :]]).ravel()
+    uniq, where = np.unique(shifts, return_inverse=True)
+    where = where.reshape(2, size, size)
+    c = np.stack([diag_seqs[:, : n - s] @ diag_seqs[:, s:].T for s in uniq])
+    d = c[where[0]]
+    d += c[where[1]]
+    idx = np.arange(p)
+    lam = diag_seqs[:, kmax + lags].T
+    diag = d[:, :, idx, idx] + (np.diag(beta) - 3.0) * lam[:, None] * lam[None, :]
+    q = 0.25 * (beta - 1.0)
+    np.fill_diagonal(q, 0.0)
+    d *= 0.5
+    d += q * (fsym[:, None] * fsym[None, :])
+    d[:, :, idx, idx] = diag
+    return d
+
+
+def _model_tensor(model: AsymptoticModel, lags) -> np.ndarray:
+    lags = np.asarray(lags, dtype=int)
+    fsym = np.stack([model.f[k] + model.f[k].T for k in lags])
+    return _d_tensor(model.diag_seqs, model.beta, fsym, lags)
 
 
 def dlm(model: AsymptoticModel, l: int, m: int) -> np.ndarray:
@@ -211,13 +207,14 @@ def dlm(model: AsymptoticModel, l: int, m: int) -> np.ndarray:
     (i, j) elements of the symmetrized sample autocovariances at lags l and
     m.  Diagonal entries carry the within-component fourth moment, edge
     off-diagonal ones the cross-component term weighted by beta_ij - 1.
+    This is one slice of the kernel the ASV tables use, which builds every
+    D_lm over the analysis lags from cross-products of the autocovariance
+    sequences.
     """
     maxlag = max(model.lags) if model.lags else 0
     if not (0 <= l <= maxlag and 0 <= m <= maxlag):
         raise ValueError("horizon too small")
-    fsym_l = model.f[l] + model.f[l].T
-    fsym_m = model.f[m] + model.f[m].T
-    return _dlm_core(model.diag_seqs, model.beta, l, m, fsym_l, fsym_m)
+    return _model_tensor(model, (l, m))[0, 1]
 
 
 def vlm(d: np.ndarray) -> np.ndarray:
@@ -240,90 +237,51 @@ def vlm(d: np.ndarray) -> np.ndarray:
     return np.diag(d.flatten(order="F")) @ (k_pp - d_pp + np.eye(n))
 
 
-def _lam_matrix(model_lam, lags: Sequence[int], p: int) -> np.ndarray:
-    return np.array([[model_lam[k][j] for j in range(p)] for k in lags])
+def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
+    """Closed-form ASVs from lambda rows (lag x component) and D over (0,) + lags.
 
-
-def _assemble_deflation(lam_mat: np.ndarray, lags: Sequence[int],
-                        dget: Callable) -> np.ndarray:
-    """Closed-form deflation ASVs from lambda rows and a D_lm source."""
-    p = lam_mat.shape[1]
-    lags = tuple(lags)
-    s = (lam_mat**2).sum(axis=0)
-    if float(s.max()) <= _IDENT_TOL:
+    Entry (j, i) off the diagonal is w' D[:, :, j, i] w / den^2.  Symmetric:
+    w = (-nu, lambda_j - lambda_i), den = |lambda_j - lambda_i|^2.
+    Deflation: w = (-mu_ref, lambda_r) with r = min(i, j), and mu_ref and
+    den set by whether the row is extracted before or after the interfering
+    component.  Diagonal entries are (D_00)_jj / 4.
+    """
+    p = lam.shape[1]
+    s = (lam**2).sum(axis=0)
+    scale = float(s.max())
+    if scale <= _IDENT_TOL:
         # no serial dependence at the analysis lags, nothing to separate
         raise ValueError("identifiability failure")
-    scale = float(s.max())
-    if np.any(np.diff(s) >= -_IDENT_TOL * scale):
-        raise ValueError("identifiability failure")
-    mu = lam_mat.T @ lam_mat
-    d00 = dget(0, 0)
-    out = np.empty((p, p))
-    for j in range(p):
-        out[j, j] = 0.25 * d00[j, j]
-    for j in range(p):
-        for i in range(p):
-            if i == j:
-                continue
-            r = i if i < j else j
-            mu_ref = mu[i, j] if i < j else mu[j, j]
-            den = mu[i, j] - mu[i, i] if i < j else mu[j, j] - mu[j, i]
-            if abs(den) <= _IDENT_TOL * scale:
-                raise ValueError("identifiability failure")
-            num = 0.0
-            for a, l in enumerate(lags):
-                for b, m in enumerate(lags):
-                    num += lam_mat[a, r] * lam_mat[b, r] * dget(l, m)[j, i]
-            cross = sum(lam_mat[a, r] * dget(l, 0)[j, i]
-                        for a, l in enumerate(lags))
-            num += -2.0 * mu_ref * cross + mu_ref**2 * d00[j, i]
-            out[j, i] = num / den**2
-    return out
+    off = ~np.eye(p, dtype=bool)
+    if method == "deflation":
+        if np.any(np.diff(s) >= -_IDENT_TOL * scale):
+            raise ValueError("identifiability failure")
+        mu = lam.T @ lam
+        mu_jj = np.diag(mu)
+        earlier = np.arange(p)[None, :] < np.arange(p)[:, None]  # i < j
+        ref = np.where(earlier, mu.T, mu_jj[:, None])
+        den = np.where(earlier, mu.T - mu_jj[None, :], mu_jj[:, None] - mu)
+        if np.any(np.abs(den[off]) <= _IDENT_TOL * scale):
+            raise ValueError("identifiability failure")
+        w = lam.T[np.minimum.outer(np.arange(p), np.arange(p))]
+    else:
+        w = lam.T[:, None, :] - lam.T[None, :, :]
+        den = (w**2).sum(axis=-1)
+        if np.any(den[off] <= _IDENT_TOL * scale):
+            raise ValueError("pairwise identifiability failure")
+        ref = np.einsum("ja,jia->ji", lam.T, w)
+    w = np.concatenate([-ref[..., None], w], axis=-1)
+    num = np.einsum("jia,abji,jib->ji", w, d, w)
+    np.fill_diagonal(den, 1.0)
+    out = num / den**2
+    np.fill_diagonal(out, 0.25 * np.diag(d[0, 0]))
+    return ASVTable(per_element=out, method=method)
 
 
-def _assemble_symmetric(lam_mat: np.ndarray, lags: Sequence[int],
-                        dget: Callable) -> np.ndarray:
-    """Closed-form symmetric ASVs from lambda rows and a D_lm source."""
-    p = lam_mat.shape[1]
-    lags = tuple(lags)
-    s = (lam_mat**2).sum(axis=0)
-    if float(s.max()) <= _IDENT_TOL:
-        raise ValueError("identifiability failure")
-    scale = float(s.max())
-    d00 = dget(0, 0)
-    out = np.empty((p, p))
-    for j in range(p):
-        out[j, j] = 0.25 * d00[j, j]
-    for j in range(p):
-        for i in range(p):
-            if i == j:
-                continue
-            diff = lam_mat[:, j] - lam_mat[:, i]
-            den = float(np.dot(diff, diff))
-            if den <= _IDENT_TOL * scale:
-                raise ValueError("pairwise identifiability failure")
-            nu = float(np.dot(lam_mat[:, j], diff))
-            num = 0.0
-            for a, l in enumerate(lags):
-                for b, m in enumerate(lags):
-                    num += diff[a] * diff[b] * dget(l, m)[j, i]
-            cross = sum(diff[a] * dget(l, 0)[j, i] for a, l in enumerate(lags))
-            num += -2.0 * nu * cross + nu**2 * d00[j, i]
-            out[j, i] = num / den**2
-    return out
-
-
-def _cached_dget(raw: Callable) -> Callable:
-    """Memoize D_lm on unordered lag pairs; D_lm and D_ml coincide."""
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def get(l: int, m: int) -> np.ndarray:
-        key = (min(l, m), max(l, m))
-        if key not in cache:
-            cache[key] = raw(key[0], key[1])
-        return cache[key]
-
-    return get
+def _exact_asv(model: AsymptoticModel, method: str) -> ASVTable:
+    lags = np.asarray(model.lags, dtype=int)
+    lam = model.diag_seqs[:, model.kmax + lags].T
+    return _asv_table(lam, _model_tensor(model, np.r_[0, lags]), method)
 
 
 def asv_deflation(model: AsymptoticModel) -> ASVTable:
@@ -335,10 +293,7 @@ def asv_deflation(model: AsymptoticModel) -> ASVTable:
     the two rational expressions (extraction row before or after the
     interfering component) in lambda, mu and D_lm.
     """
-    lam_mat = _lam_matrix(model.lam, model.lags, model.p)
-    dget = _cached_dget(lambda l, m: dlm(model, l, m))
-    return ASVTable(per_element=_assemble_deflation(lam_mat, model.lags, dget),
-                    method="deflation")
+    return _exact_asv(model, "deflation")
 
 
 def asv_symmetric(model: AsymptoticModel) -> ASVTable:
@@ -347,10 +302,7 @@ def asv_symmetric(model: AsymptoticModel) -> ASVTable:
     Requires pairwise identifiability: every pair of components must have
     distinct autocovariance profiles over the analysis lags.
     """
-    lam_mat = _lam_matrix(model.lam, model.lags, model.p)
-    dget = _cached_dget(lambda l, m: dlm(model, l, m))
-    return ASVTable(per_element=_assemble_symmetric(lam_mat, model.lags, dget),
-                    method="symmetric")
+    return _exact_asv(model, "symmetric")
 
 
 def global_criterion(table: ASVTable) -> float:
@@ -403,6 +355,12 @@ def empirical_asv(
     innovations, for which every required D_lm entry is a function of the
     autocorrelation sequences alone.  This is the Table-2-style workflow:
     ``row_sums`` of the returned table rank candidate lag sets.
+
+    Lag-k autocovariances use the divisor T - k and are scaled by the lag-0
+    one (divisor T).  All lags of a component come from one real FFT of the
+    series zero-padded to at least T + kmax points, so the cost is
+    O(T log T) per component rather than O(T kmax); the autocorrelations
+    then feed the same D_lm kernel as the exact tables.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
@@ -416,26 +374,24 @@ def empirical_asv(
         raise ValueError("horizon too small")
 
     z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
-    diag_seqs = np.zeros((p, 2 * kmax + 1))
-    lamhat = np.empty((kmax + 1, p))
+    # one row at a time: a (p, nfft) transform would raise the peak memory
+    nfft = sp_fft.next_fast_len(T + kmax, real=True)
+    divisor = T - np.arange(kmax + 1)
+    rho = np.empty((p, kmax + 1))
     for i in range(p):
-        zi = z[i]
-        c0 = float(zi @ zi) / T
-        lamhat[0, i] = 1.0
-        for k in range(1, kmax + 1):
-            ck = float(zi[: T - k] @ zi[k:]) / (T - k)
-            lamhat[k, i] = ck / c0
-        diag_seqs[i, kmax:] = lamhat[:, i]
-        diag_seqs[i, : kmax + 1] = lamhat[::-1, i]
+        spec = sp_fft.rfft(z[i], nfft)
+        acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
+        rho[i] = (acov / divisor) / (acov[0] / T)
+    rho[:, 0] = 1.0
+    diag_seqs = np.concatenate([rho[:, :0:-1], rho], axis=1)
 
     beta = np.ones((p, p))
     np.fill_diagonal(beta, 3.0)
-    dget = _cached_dget(lambda l, m: _dlm_core(diag_seqs, beta, l, m, None, None))
-    lam_mat = np.array([[lamhat[k, j] for j in range(p)] for k in lags])
+    lag_arr = np.asarray(lags)
+    l0 = np.r_[0, lag_arr]
+    # beta_ij = 1 off the diagonal drops the F_l cross term; zeros stand in
+    d = _d_tensor(diag_seqs, beta, np.zeros((l0.size, p, p)), l0)
     if method is None:
-        method = "deflation" if result.method == "deflation" else "symmetric"
-    if method == "deflation":
-        return ASVTable(per_element=_assemble_deflation(lam_mat, lags, dget),
-                        method="deflation")
-    return ASVTable(per_element=_assemble_symmetric(lam_mat, lags, dget),
-                    method="symmetric")
+        method = result.method
+    return _asv_table(rho[:, lag_arr].T, d,
+                      "deflation" if method == "deflation" else "symmetric")

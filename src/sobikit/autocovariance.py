@@ -58,6 +58,12 @@ def sample_autocov(x, k: int, centered: bool = False) -> np.ndarray:
         raise ValueError(f"lag {k} out of range for T = {T}")
     if centered:
         x = x - x.mean(axis=1, keepdims=True)
+    return _lag_product(x, k)
+
+
+def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
+    """S_k of a validated (and, if wanted, already centered) series."""
+    T = x.shape[1]
     if k == 0:
         m = (x @ x.T) / T
     else:
@@ -79,8 +85,8 @@ def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
         raise ValueError("lag out of range")
     if centered:
         x = x - x.mean(axis=1, keepdims=True)
-    s0 = sample_autocov(x, 0, centered=False)
-    lagged = {k: sample_autocov(x, k, centered=False) for k in lags}
+    s0 = _lag_product(x, 0)
+    lagged = {k: _lag_product(x, k) for k in lags}
     return AutocovSet(s0=s0, lagged=lagged, lags=lags, T=T, centered=centered)
 
 

@@ -192,6 +192,10 @@ def _benchmark_rep(payload) -> float:
 
 
 def cmd_benchmark(args) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
     t_values = [int(t) for t in args.T_values.split(",")]
@@ -239,8 +243,11 @@ def cmd_lagselect(args) -> int:
     lag_sets = [_parse_lags(s) for s in args.lag_sets.split(";")]
     if len(lag_sets) < 2:
         raise ValueError("need at least two candidate lag sets")
-    rows_sel = ([int(r) - 1 for r in args.rows.split(",")]
-                if args.rows else list(range(x.shape[0])))
+    p = x.shape[0]
+    rows = [int(r) for r in args.rows.split(",")] if args.rows else range(1, p + 1)
+    if any(not 1 <= r <= p for r in rows):
+        raise ValueError(f"--rows must lie in 1..{p}")
+    rows_sel = np.asarray(rows) - 1
     scored = []
     for lags in lag_sets:
         acs = autocov_set(x, lags, centered=not args.no_center)

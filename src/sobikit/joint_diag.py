@@ -300,14 +300,6 @@ def sobi_symmetric_jacobi(
     return dataclasses.replace(result, residual=estimating_residual(result, acs))
 
 
-def _tmap_data(G: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Rows T(gamma_j) = sum_k (gamma_j' S_k gamma_j) S_k gamma_j."""
-    S = np.stack(mats)
-    y = np.einsum("kab,jb->kja", S, G)
-    d = np.einsum("jb,kjb->kj", G, y)
-    return np.einsum("kj,kja->ja", d, y)
-
-
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:
     """Unwhitened estimating-equation residual of a solution.
 
@@ -319,7 +311,7 @@ def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:
     """
     G = result.gamma
     p = G.shape[0]
-    tg = _tmap_data(G, [acs.lagged[k] for k in acs.lags])
+    tg = _tmap_rows(G, np.stack([acs.lagged[k] for k in acs.lags]))
     if result.method == "deflation":
         if p == 1:
             return 0.0

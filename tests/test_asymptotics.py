@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -356,3 +357,91 @@ def test_asv_table_row_sums():
     table = asv_symmetric(model)
     np.testing.assert_allclose(table.row_sums(),
                                table.per_element.sum(axis=1), atol=1e-14)
+
+
+def reference_table(lam, lags, d, method):
+    """ASV table written out entry by entry from lambda rows (lag x
+    component) and an entry function d(l, m, i, j) = (D_lm)_ij."""
+    p = lam.shape[1]
+    mu = lam.T @ lam
+    out = np.empty((p, p))
+    for j in range(p):
+        out[j, j] = 0.25 * d(0, 0, j, j)
+        for i in range(p):
+            if i == j:
+                continue
+            if method == "symmetric":
+                w = lam[:, j] - lam[:, i]
+                ref, den = float(lam[:, j] @ w), float(w @ w)
+            elif i < j:
+                w, ref, den = lam[:, i], mu[i, j], mu[i, j] - mu[i, i]
+            else:
+                w, ref, den = lam[:, j], mu[j, j], mu[j, j] - mu[j, i]
+            num = sum(w[a] * w[b] * d(l, m, j, i)
+                      for a, l in enumerate(lags) for b, m in enumerate(lags))
+            num -= 2 * ref * sum(w[a] * d(l, 0, j, i) for a, l in enumerate(lags))
+            num += ref**2 * d(0, 0, j, i)
+            out[j, i] = num / den**2
+    return out
+
+
+def reference_empirical_asv(x, gamma, lags, method):
+    """Plug-in table from per-lag dot products and element-wise D_lm sums."""
+    p, T = x.shape
+    kmax = 12 * max(lags)
+    z = gamma @ (x - x.mean(axis=1, keepdims=True))
+    rho = np.ones((p, kmax + 1))
+    for i in range(p):
+        c0 = float(z[i] @ z[i]) / T
+        for k in range(1, kmax + 1):
+            rho[i, k] = float(z[i, : T - k] @ z[i, k:]) / (T - k) / c0
+
+    @functools.cache
+    def c(i, j, s):
+        # sum_k rho_i(k) rho_j(k + s) over |k|, |k + s| <= kmax
+        k = np.arange(-kmax, kmax + 1)
+        k = k[np.abs(k + s) <= kmax]
+        return float(rho[i, np.abs(k)] @ rho[j, np.abs(k + s)])
+
+    def d(l, m, i, j):
+        if i == j:
+            return c(i, i, m - l) + c(i, i, m + l)
+        return 0.5 * (c(i, j, m - l) + c(i, j, m + l))
+
+    return reference_table(rho[:, list(lags)].T, lags, d, method)
+
+
+@pytest.mark.parametrize("lags", [tuple(range(1, 6)),
+                                  tuple(range(1, 6)) + tuple(range(10, 41, 5))])
+def test_empirical_asv_matches_direct_formulas(lags):
+    z = simulate_sources(benchmark_model("d"), T=3000, seed=11)
+    x = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]]) @ z
+    res = sobi_symmetric_jacobi(autocov_set(x, lags, centered=True))
+    for method in ("deflation", "symmetric"):
+        table = empirical_asv(x, res, lags, method=method)
+        assert table.method == method
+        np.testing.assert_allclose(
+            table.per_element,
+            reference_empirical_asv(x, res.gamma, lags, method), rtol=1e-12)
+
+
+def test_exact_tables_beyond_weight_support_match_closed_form_ar1():
+    # lags past the weight support give shifts m + l at which every
+    # cross-product of the truncated autocovariance sequences is zero; the
+    # deep truncation keeps c(10) of the phi = 0.2 component exact
+    phis = (0.6, 0.4, 0.2)
+    exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-30)
+            for phi in phis]
+    lags = (1, 2, 3, 90, 100)
+    model = build_model(exps, lags)
+    assert max(lags) > max(e.psi.size for e in exps)
+    d = functools.cache(functools.partial(closed_form_ar1_dlm, phis))
+    for l, m in ((0, 100), (3, 90), (90, 100), (100, 100)):
+        expected = [[d(l, m, i, j) for j in range(3)] for i in range(3)]
+        np.testing.assert_allclose(dlm(model, l, m), expected,
+                                   rtol=1e-9, atol=1e-15)
+    lam = np.array([[phi**k for phi in phis] for k in lags])
+    for method, fn in (("deflation", asv_deflation), ("symmetric", asv_symmetric)):
+        np.testing.assert_allclose(fn(model).per_element,
+                                   reference_table(lam, lags, d, method),
+                                   rtol=1e-9)

@@ -204,6 +204,18 @@ def test_benchmark_deterministic_and_jobs_invariant(tmp_path, capsys):
     assert parallel == first
 
 
+@pytest.mark.parametrize("option", [("--reps", "0"), ("--jobs", "0"),
+                                    ("--jobs", "-3")])
+def test_benchmark_rejects_nonpositive_counts(option, capsys):
+    assert main(["benchmark", "--preset", "d", "--lags", "1-10",
+                 "--reps", "1", "--T-values", "300",
+                 "--methods", "symmetric-jacobi", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_lagselect_identical_sets_tie(dataset, capsys):
     assert main(["lagselect", "--data", dataset,
                  "--lag-sets", "1-10;1-10"]) == 0
@@ -225,6 +237,16 @@ def test_lagselect_row_subset_and_output(dataset, tmp_path, capsys):
     body = open(out).read().splitlines()
     assert body[0] == "rank,lags,row_variance_sum"
     assert len(body) == 3
+
+
+@pytest.mark.parametrize("rows", ["7", "0", "1,4"])
+def test_lagselect_rejects_rows_out_of_range(dataset, rows, capsys):
+    assert main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5",
+                 "--rows", rows]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_lagselect_ranking_reproducible_across_seeds(tmp_path, capsys):
