@@ -340,6 +340,15 @@ def transform_general_mixing(sigma: np.ndarray, gamma: np.ndarray,
     raise ValueError("target must be 'unmixing' or 'mixing'")
 
 
+# method of a fit (or a formula name) -> the ASV formulas that describe it
+_EMPIRICAL_FORMULAS = {
+    "deflation": "deflation",
+    "symmetric": "symmetric",
+    "symmetric-fixedpoint": "symmetric",
+    "symmetric-jacobi": "symmetric",
+}
+
+
 def empirical_asv(
     x: np.ndarray,
     result: UnmixingResult,
@@ -361,7 +370,16 @@ def empirical_asv(
     series zero-padded to at least T + kmax points, so the cost is
     O(T log T) per component rather than O(T kmax); the autocorrelations
     then feed the same D_lm kernel as the exact tables.
+
+    ``method`` (default ``result.method``) picks the formulas: deflation,
+    or symmetric for ``"symmetric"`` and both symmetric solvers.  Any other
+    method, AMUSE included, raises ``ValueError``: its ASV is not
+    implemented here.
     """
+    if method is None:
+        method = result.method
+    if method not in _EMPIRICAL_FORMULAS:
+        raise ValueError(f"no plug-in ASV for method {method!r}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
     if not lags or any(k <= 0 for k in lags):
@@ -391,7 +409,4 @@ def empirical_asv(
     l0 = np.r_[0, lag_arr]
     # beta_ij = 1 off the diagonal drops the F_l cross term; zeros stand in
     d = _d_tensor(diag_seqs, beta, np.zeros((l0.size, p, p)), l0)
-    if method is None:
-        method = result.method
-    return _asv_table(rho[:, lag_arr].T, d,
-                      "deflation" if method == "deflation" else "symmetric")
+    return _asv_table(rho[:, lag_arr].T, d, _EMPIRICAL_FORMULAS[method])

@@ -10,10 +10,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import asymptotics, joint_diag, metrics, presets
-from .autocovariance import autocov_set
+from .autocovariance import autocorrelations, autocov_set, whitener
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
 _METHODS = ("amuse", "deflation", "symmetric-fixedpoint", "symmetric-jacobi")
+# AMUSE has no implemented ASV, so the Monte Carlo sweep has nothing to set it against
+_BENCHMARK_METHODS = tuple(m for m in _METHODS if m != "amuse")
 
 
 def _parse_lags(spec: str) -> tuple[int, ...]:
@@ -173,22 +175,49 @@ def cmd_asv(args) -> int:
     return 0
 
 
-def _benchmark_rep(payload) -> float:
-    (spec_dicts, lags, method, T, seed, rep, burn_in, tol, max_iter,
-     restarts, jacobi_tol, max_sweeps) = payload
-    specs = [SourceSpec.from_dict(d) for d in spec_dicts]
-    z = simulate_sources(specs, T, (seed, rep), burn_in=burn_in)
-    acs = autocov_set(z, lags, centered=True)
-    if method == "deflation":
-        res = joint_diag.sobi_deflation(acs, tol=tol, max_iter=max_iter,
-                                        restarts=restarts, seed=(seed, rep, 1))
-    elif method == "symmetric-fixedpoint":
-        res = joint_diag.sobi_symmetric_fixedpoint(acs, tol=tol, max_iter=max_iter)
-    else:
-        res = joint_diag.sobi_symmetric_jacobi(acs, tol=jacobi_tol,
-                                               max_sweeps=max_sweeps)
-    p = z.shape[0]
-    return T * (p - 1) * metrics.mdi(res.gamma) ** 2
+# Upper bound on the reps one kernel call solves together: large enough
+# that per-call overhead on p x p matrices stops dominating, small enough
+# that the stacked lag matrices of a block stay small.
+_BLOCK_REPS = 256
+
+
+def _rep_blocks(reps: int, jobs: int) -> list[range]:
+    """Consecutive rep ranges of at most _BLOCK_REPS, at least one per job."""
+    n = min(max(-(-reps // _BLOCK_REPS), jobs), reps)
+    return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
+
+
+def _mc_block(specs, lags, T, reps, methods, args) -> dict[str, list[float]]:
+    """T (p-1) mdi^2 of every rep in ``reps`` for every method.
+
+    Each rep is simulated once, from the seed (args.seed, rep), and its
+    series is dropped once its lag matrices are computed; deflation draws
+    its restarts from (args.seed, rep, 1).  The kernels solve the whole
+    block at once and give each rep the result it gets alone.
+    """
+    acss, ws, rs = [], [], []
+    for rep in reps:
+        z = simulate_sources(specs, T, (args.seed, rep), burn_in=args.burn_in)
+        acs = autocov_set(z, lags, centered=True)
+        w = whitener(acs.s0)
+        acss.append(acs)
+        ws.append(w)
+        rs.append(np.stack(autocorrelations(acs, w)))
+    R = np.stack(rs)
+    p = R.shape[-1]
+    out = {}
+    for method in methods:
+        if method == "deflation":
+            rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
+            us = joint_diag.deflation_block(R, rngs, tol=args.tol, max_iter=args.max_iter,
+                                            restarts=args.restarts).u
+        elif method == "symmetric-jacobi":
+            us = joint_diag.jacobi_block(R, tol=args.jacobi_tol,
+                                         max_sweeps=args.max_sweeps).u
+        else:
+            us = [_fit(acs, method, args).u for acs in acss]
+        out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, ws)]
+    return out
 
 
 def cmd_benchmark(args) -> int:
@@ -200,7 +229,10 @@ def cmd_benchmark(args) -> int:
     lags = _parse_lags(args.lags)
     t_values = [int(t) for t in args.T_values.split(",")]
     methods = [m.strip() for m in args.methods.split(",")]
-    spec_dicts = [s.to_dict() for s in specs]
+    for method in methods:
+        if method not in _BENCHMARK_METHODS:
+            raise ValueError(f"--methods: {method!r} is not one of "
+                             f"{', '.join(_BENCHMARK_METHODS)}")
 
     expected = {}
     exps = _sorted_expansions(specs, lags)
@@ -213,21 +245,19 @@ def cmd_benchmark(args) -> int:
         except ValueError:
             expected[method] = float("nan")
 
+    blocks = _rep_blocks(args.reps, args.jobs)
+    tasks = [(specs, lags, T, reps, methods, args) for T in t_values for reps in blocks]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+            results = list(ex.map(_mc_block, *zip(*tasks)))
+    else:
+        results = [_mc_block(*task) for task in tasks]
+
     rows = []
-    for T in t_values:
+    for i, T in enumerate(t_values):
+        parts = results[i * len(blocks):(i + 1) * len(blocks)]
         for method in methods:
-            payloads = [
-                (spec_dicts, lags, method, T, args.seed, rep, args.burn_in,
-                 args.tol, args.max_iter, args.restarts, args.jacobi_tol,
-                 args.max_sweeps)
-                for rep in range(args.reps)
-            ]
-            if args.jobs > 1:
-                with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                    vals = list(ex.map(_benchmark_rep, payloads, chunksize=8))
-            else:
-                vals = [_benchmark_rep(p) for p in payloads]
-            avg = float(np.mean(vals))
+            avg = float(np.mean([v for part in parts for v in part[method]]))
             rows.append((T, method, args.reps, avg, expected[method]))
             print(f"{T},{method},{args.reps},{avg:.17g},{expected[method]:.17g}")
     if args.output:

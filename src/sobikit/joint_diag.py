@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import warnings as _warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import null_space
@@ -19,10 +20,13 @@ from .autocovariance import AutocovSet, autocorrelations, whitener
 
 __all__ = [
     "UnmixingResult",
+    "BlockFit",
     "amuse",
     "sobi_deflation",
     "sobi_symmetric_fixedpoint",
     "sobi_symmetric_jacobi",
+    "deflation_block",
+    "jacobi_block",
     "estimating_residual",
 ]
 
@@ -47,16 +51,33 @@ class UnmixingResult:
     warnings: tuple[str, ...] = ()
 
 
+class BlockFit(NamedTuple):
+    """Solutions of a block of B problems, one entry per problem.
+
+    ``u`` (B, p, p) holds the finished orthogonal factors, ordered and
+    signed as in ``UnmixingResult.u``; ``objective``, ``iterations`` and
+    ``converged`` are the per-problem diagnostics of ``UnmixingResult``.
+    """
+
+    u: np.ndarray
+    objective: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
 def _tmap_rows(U: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Rows T(u_j) = sum_k (u_j' R_k u_j) R_k u_j for all rows of U."""
-    y = np.einsum("kab,jb->kja", R, U)
-    d = np.einsum("jb,kjb->kj", U, y)
-    return np.einsum("kj,kja->ja", d, y)
+    """Rows T(u_j) = sum_k (u_j' R_k u_j) R_k u_j for all rows of U.
+
+    Leading axes of U (..., j, p) and R (..., K, p, p) are batch axes.
+    """
+    y = np.einsum("...kab,...jb->...kja", R, U)
+    d = np.einsum("...jb,...kjb->...kj", U, y)
+    return np.einsum("...kj,...kja->...ja", d, y)
 
 
 def _criterion_rows(U: np.ndarray, R: np.ndarray) -> np.ndarray:
-    d = np.einsum("jb,kab,ja->kj", U, R, U)
-    return np.sum(d**2, axis=0)
+    d = np.einsum("...jb,...kab,...ja->...kj", U, R, U)
+    return np.sum(d**2, axis=-2)
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
@@ -149,60 +170,102 @@ def sobi_deflation(
     """
     W = whitener(acs.s0)
     R = np.stack(autocorrelations(acs, W))
-    p = acs.p
-    rng = np.random.default_rng(seed)
-    rows: list[np.ndarray] = []
-    total_iter = 0
-    all_converged = True
-
-    for _ in range(p - 1):
-        basis = np.array(rows) if rows else np.empty((0, p))
-        proj = np.eye(p) - basis.T @ basis
-        best_u, best_crit, best_iters, best_conv = None, -1.0, 0, False
-        for _ in range(max(restarts, 1)):
-            u = proj @ rng.standard_normal(p)
-            norm = np.linalg.norm(u)
-            if norm < 1e-12:
-                continue
-            u /= norm
-            run_conv = False
-            it = 0
-            for it in range(1, max_iter + 1):
-                v = proj @ _tmap_rows(u[None, :], R)[0]
-                n = np.linalg.norm(v)
-                if n < 1e-13:
-                    break
-                v /= n
-                if np.linalg.norm(v - u) < tol:
-                    u = v
-                    run_conv = True
-                    break
-                u = v
-            crit = float(_criterion_rows(u[None, :], R)[0])
-            if crit > best_crit:
-                best_u, best_crit, best_iters, best_conv = u, crit, it, run_conv
-        if best_u is None:
-            # every restart draw collapsed; fall back to any feasible direction
-            q = np.linalg.qr(proj)[0][:, 0]
-            best_u, best_conv = q / np.linalg.norm(q), False
-        rows.append(best_u)
-        total_iter += best_iters
-        all_converged = all_converged and best_conv
-
-    if rows:
-        last = null_space(np.array(rows))
-        rows.append(last[:, 0])
-        U = np.array(rows)
-    else:
-        U = np.eye(p)
-    U, objective = _finish(U, R, reorder=False)
-    gamma = U @ W
+    fit = deflation_block(R[None], [np.random.default_rng(seed)], tol=tol,
+                          max_iter=max_iter, restarts=restarts)
+    U = fit.u[0]
     result = UnmixingResult(
-        gamma=gamma, u=U, whitener=W, method="deflation",
-        iterations=total_iter, converged=all_converged, objective=objective,
-        residual=0.0,
+        gamma=U @ W, u=U, whitener=W, method="deflation",
+        iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
+        objective=float(fit.objective[0]), residual=0.0,
     )
     return dataclasses.replace(result, residual=estimating_residual(result, acs))
+
+
+def deflation_block(
+    R: np.ndarray,
+    rngs,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+    restarts: int = 5,
+) -> BlockFit:
+    """Deflation-based SOBI on B whitened lag stacks R of shape (B, K, p, p).
+
+    Problem b draws its start directions from ``rngs[b]``, one
+    (restarts, p) draw per row, which is the stream that drawing one
+    direction at a time gives.  For each row every (problem, restart)
+    pair iterates in one active set; a pair leaves it when its step falls
+    below ``tol`` (converged) or its image collapses (it keeps its previous
+    direction).  Each problem's result does not depend on the block it is
+    solved in: the batched forms round like the one-problem ones.
+    """
+    B, _, p, _ = R.shape
+    restarts = max(restarts, 1)
+    eye = np.eye(p)
+    rows = np.empty((B, p, p))
+    iterations = np.zeros(B, dtype=int)
+    converged = np.ones(B, dtype=bool)
+
+    for j in range(p - 1):
+        proj = np.stack([eye - rows[b, :j].T @ rows[b, :j] for b in range(B)])
+        draws = np.stack([rng.standard_normal((restarts, p)) for rng in rngs])
+        # stacked matmul and sqrt(vecdot) round like proj @ v and the 1-D
+        # norm; einsum or norm(axis=...) forms do not, and on near-tied
+        # sources one ulp can move the stopping iteration
+        starts = (proj[:, None] @ draws[..., None])[..., 0].reshape(B * restarts, p)
+        norms = np.sqrt(np.vecdot(starts, starts))
+        # a collapsed start direction is skipped, its draw still consumed
+        started = act = np.nonzero(~(norms < 1e-12))[0]
+        u = starts[act] / norms[act, None]
+        P, Ra = proj[act // restarts], R[act // restarts]
+        final = np.empty((B * restarts, p))
+        iters = np.zeros(B * restarts, dtype=int)
+        conv = np.zeros(B * restarts, dtype=bool)
+        for it in range(1, max_iter + 1):
+            if act.size == 0:
+                break
+            v = (P @ _tmap_rows(u[:, None], Ra)[:, 0, :, None])[..., 0]
+            n = np.sqrt(np.vecdot(v, v))
+            collapsed = n < 1e-13
+            v = np.where(collapsed[:, None], u, v / np.where(collapsed, 1.0, n)[:, None])
+            step = v - u
+            done = ~collapsed & (np.sqrt(np.vecdot(step, step)) < tol)
+            stop = collapsed | done
+            if stop.any():
+                final[act[stop]] = v[stop]
+                iters[act[stop]] = it
+                conv[act[stop]] = done[stop]
+                keep = ~stop
+                act, u, P, Ra = act[keep], v[keep], P[keep], Ra[keep]
+            else:
+                u = v
+        final[act] = u
+        iters[act] = max(max_iter, 0)
+
+        crit = np.full(B * restarts, -np.inf)
+        crit[started] = _criterion_rows(final[started, None], R[started // restarts])[:, 0]
+        # the first restart with the strictly largest criterion wins
+        crit = crit.reshape(B, restarts)
+        best = np.argmax(np.where(crit > -1.0, crit, -np.inf), axis=1)
+        for b in range(B):
+            k = b * restarts + best[b]
+            if crit[b, best[b]] > -1.0:
+                rows[b, j] = final[k]
+                iterations[b] += iters[k]
+                converged[b] &= conv[k]
+            else:
+                # every restart draw collapsed; fall back to any feasible direction
+                q = np.linalg.qr(proj[b])[0][:, 0]
+                rows[b, j] = q / np.linalg.norm(q)
+                converged[b] = False
+
+    objective = np.empty(B)
+    for b in range(B):
+        if p > 1:
+            rows[b, p - 1] = null_space(rows[b, : p - 1])[:, 0]
+        else:
+            rows[b] = eye
+        rows[b], objective[b] = _finish(rows[b], R[b], reorder=False)
+    return BlockFit(rows, objective, iterations, converged)
 
 
 def sobi_symmetric_fixedpoint(
@@ -260,44 +323,66 @@ def sobi_symmetric_jacobi(
     """
     W = whitener(acs.s0)
     R = np.stack(autocorrelations(acs, W))
-    p = acs.p
-    A = R.copy()
-    U = np.eye(p)
-    converged = False
-    sweeps = 0   # sweeps that rotated by at least tol; already-diagonal input needs none
-    passes = 0
-    while passes < max_sweeps:
-        passes += 1
-        max_sin = 0.0
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                am = A[:, i, i] - A[:, j, j]
-                ap = A[:, i, j] + A[:, j, i]
-                ton = float(np.sum(am * am - ap * ap))
-                toff = float(2.0 * np.sum(am * ap))
-                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
-                c, s = np.cos(theta), np.sin(theta)
-                max_sin = max(max_sin, abs(s))
-                if s == 0.0:
-                    continue
-                ai, aj = A[:, i, :].copy(), A[:, j, :].copy()
-                A[:, i, :], A[:, j, :] = c * ai + s * aj, -s * ai + c * aj
-                ai, aj = A[:, :, i].copy(), A[:, :, j].copy()
-                A[:, :, i], A[:, :, j] = c * ai + s * aj, -s * ai + c * aj
-                ui, uj = U[i].copy(), U[j].copy()
-                U[i], U[j] = c * ui + s * uj, -s * ui + c * uj
-        if max_sin < tol:
-            converged = True
-            break
-        sweeps += 1
-    U, objective = _finish(U, R)
-    gamma = U @ W
+    fit = jacobi_block(R[None], tol=tol, max_sweeps=max_sweeps)
+    U = fit.u[0]
     result = UnmixingResult(
-        gamma=gamma, u=U, whitener=W, method="symmetric-jacobi",
-        iterations=sweeps, converged=converged, objective=objective,
-        residual=0.0,
+        gamma=U @ W, u=U, whitener=W, method="symmetric-jacobi",
+        iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
+        objective=float(fit.objective[0]), residual=0.0,
     )
     return dataclasses.replace(result, residual=estimating_residual(result, acs))
+
+
+def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> BlockFit:
+    """Cyclic Jacobi sweeps on B whitened lag stacks R of shape (B, K, p, p).
+
+    All live problems rotate together, pair by pair; a pair whose angle has
+    sin = 0 is not rotated.  A problem leaves after the first sweep whose
+    largest |sin(angle)| is below ``tol`` (converged); ``iterations``
+    counts the sweeps before it.  Each problem's result does not depend on
+    the block it is solved in.
+    """
+    B, _, p, _ = R.shape
+    A = R.copy()
+    U = np.repeat(np.eye(p)[None], B, axis=0)
+    live = np.arange(B)
+    out = np.empty_like(U)
+    sweeps = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
+    passes = 0
+    while passes < max_sweeps and live.size:
+        passes += 1
+        max_sin = np.zeros(live.size)
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                am = A[:, :, i, i] - A[:, :, j, j]
+                ap = A[:, :, i, j] + A[:, :, j, i]
+                ton = np.sum(am * am - ap * ap, axis=-1)
+                toff = 2.0 * np.sum(am * ap, axis=-1)
+                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+                c, s = np.cos(theta), np.sin(theta)
+                max_sin = np.maximum(max_sin, np.abs(s))
+                rot = slice(None) if s.all() else np.nonzero(s)[0]
+                c, s = c[rot, None, None], s[rot, None, None]
+                ai, aj = A[rot, :, i, :], A[rot, :, j, :]
+                A[rot, :, i, :], A[rot, :, j, :] = c * ai + s * aj, -s * ai + c * aj
+                ai, aj = A[rot, :, :, i], A[rot, :, :, j]
+                A[rot, :, :, i], A[rot, :, :, j] = c * ai + s * aj, -s * ai + c * aj
+                c, s = c[:, 0], s[:, 0]
+                ui, uj = U[rot, i], U[rot, j]
+                U[rot, i], U[rot, j] = c * ui + s * uj, -s * ui + c * uj
+        done = max_sin < tol
+        sweeps[live[~done]] += 1
+        if done.any():
+            out[live[done]] = U[done]
+            converged[live[done]] = True
+            A, U, live = A[~done], U[~done], live[~done]
+    out[live] = U
+
+    objective = np.empty(B)
+    for b in range(B):
+        out[b], objective[b] = _finish(out[b], R[b])
+    return BlockFit(out, objective, sweeps, converged)
 
 
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:

@@ -350,6 +350,11 @@ def test_empirical_asv_validation():
         empirical_asv(x, res, ())
     with pytest.raises(ValueError, match="horizon too small"):
         empirical_asv(x, res, (50,), kmax=10)
+    for method in ("amuse", "jade"):
+        with pytest.raises(ValueError, match="no plug-in ASV"):
+            empirical_asv(x, res, (1,), method=method)
+    with pytest.raises(ValueError, match="no plug-in ASV"):
+        empirical_asv(x, dataclasses.replace(res, method="amuse"), (1,))
 
 
 def test_asv_table_row_sums():

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from sobikit.autocovariance import autocov_set
 from sobikit.cli import _parse_lags, _read_series, main
+from sobikit.joint_diag import sobi_deflation, sobi_symmetric_jacobi
 from sobikit.metrics import mdi
-from sobikit.presets import lag_preset
+from sobikit.presets import benchmark_model, lag_preset
 from sobikit.signal_model import SourceSpec, simulate_sources
 
 
@@ -210,6 +212,48 @@ def test_benchmark_rejects_nonpositive_counts(option, capsys):
     assert main(["benchmark", "--preset", "d", "--lags", "1-10",
                  "--reps", "1", "--T-values", "300",
                  "--methods", "symmetric-jacobi", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("methods", ["symetric-jacobi", "amuse",
+                                     "deflation,symmetric-jacobi,amuse"])
+def test_benchmark_rejects_unknown_methods(methods, capsys):
+    assert main(["benchmark", "--preset", "d", "--lags", "1-10",
+                 "--reps", "1", "--T-values", "300", "--methods", methods]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_benchmark_averages_follow_the_public_chain(capsys):
+    # 300 reps take two rep blocks; each average must equal, bit for bit,
+    # the mean over reps of the documented per-rep chain and seeds
+    seed, T, reps = 11, 300, 300
+    assert main(["benchmark", "--preset", "b", "--lags", "1-10",
+                 "--reps", str(reps), "--T-values", str(T),
+                 "--methods", "deflation,symmetric-jacobi",
+                 "--seed", str(seed)]) == 0
+    printed = {line.split(",")[1]: float(line.split(",")[3])
+               for line in capsys.readouterr().out.strip().splitlines()}
+    specs = benchmark_model("b")
+    vals = {"deflation": [], "symmetric-jacobi": []}
+    for rep in range(reps):
+        acs = autocov_set(simulate_sources(specs, T, (seed, rep)), range(1, 11),
+                          centered=True)
+        fits = {"deflation": sobi_deflation(acs, seed=(seed, rep, 1)),
+                "symmetric-jacobi": sobi_symmetric_jacobi(acs)}
+        for method, res in fits.items():
+            vals[method].append(T * 2 * mdi(res.gamma) ** 2)
+    assert printed == {m: float(np.mean(v)) for m, v in vals.items()}
+
+
+def test_lagselect_rejects_method_without_asv(dataset, capsys):
+    assert main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5",
+                 "--method", "amuse"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")

@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
-from sobikit.autocovariance import AutocovSet, autocov_set
+from sobikit.autocovariance import AutocovSet, autocorrelations, autocov_set, whitener
 from sobikit.joint_diag import (
+    _finish,
     amuse,
+    deflation_block,
     estimating_residual,
+    jacobi_block,
     sobi_deflation,
     sobi_symmetric_fixedpoint,
     sobi_symmetric_jacobi,
@@ -241,3 +245,149 @@ def test_row_signs_sum_nonnegative():
     for method in ("amuse", "deflation", "fixedpoint", "jacobi"):
         u = fitted(method, acs).u
         assert np.all(u.sum(axis=1) >= 0)
+
+
+def test_deflation_reports_iteration_exhaustion():
+    z = simulate_sources(benchmark_model("c"), T=800, seed=35)
+    acs = autocov_set(z, range(1, 11), centered=True)
+    res = sobi_deflation(acs, max_iter=1)
+    assert not res.converged
+    assert res.iterations == 2   # one iteration on each of the p - 1 rows
+
+
+def test_deflation_zero_restarts_means_one():
+    z = simulate_sources(benchmark_model("b"), T=1000, seed=39)
+    acs = autocov_set(z, range(1, 11), centered=True)
+    zero = sobi_deflation(acs, restarts=0, seed=4)
+    one = sobi_deflation(acs, restarts=1, seed=4)
+    np.testing.assert_array_equal(zero.u, one.u)
+    assert (zero.iterations, zero.converged) == (one.iterations, one.converged)
+
+
+def test_jacobi_reports_sweep_exhaustion():
+    z = simulate_sources(benchmark_model("c"), T=800, seed=35)
+    acs = autocov_set(z, range(1, 11), centered=True)
+    res = sobi_symmetric_jacobi(acs, max_sweeps=1)
+    assert not res.converged and res.iterations == 1
+
+
+def lag_stack(acs):
+    return np.stack(autocorrelations(acs, whitener(acs.s0)))
+
+
+@pytest.mark.parametrize("options", [{}, {"max_iter": 3}, {"restarts": 0}])
+def test_deflation_block_matches_each_problem_alone(options):
+    # mixed models and sample sizes, so that problems converge at different
+    # iterations and leave the active set at different times
+    stacks = [lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
+                                    range(1, 11), centered=True))
+              for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800),
+                                          ("a", 5000), ("b", 4000)])]
+    block = deflation_block(np.stack(stacks),
+                            [np.random.default_rng((9, s)) for s in range(5)], **options)
+    for s, r in enumerate(stacks):
+        alone = deflation_block(r[None], [np.random.default_rng((9, s))], **options)
+        for got, want in zip(block, alone):
+            np.testing.assert_array_equal(got[s], want[0])
+
+
+@pytest.mark.parametrize("options", [{}, {"max_sweeps": 2}])
+def test_jacobi_block_matches_each_problem_alone(options):
+    # an already diagonal problem needs no sweep and leaves the block first
+    planted = planted_acs([[0.9**k, 0.5**k, 0.1**k] for k in range(1, 11)])
+    stacks = [lag_stack(planted)] + [
+        lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
+                              range(1, 11), centered=True))
+        for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800)])]
+    block = jacobi_block(np.stack(stacks), **options)
+    assert block.iterations[0] == 0 and block.converged[0]
+    for s, r in enumerate(stacks):
+        alone = jacobi_block(r[None], **options)
+        for got, want in zip(block, alone):
+            np.testing.assert_array_equal(got[s], want[0])
+
+
+def sequential_deflation_rows(R, rng, tol=1e-10, max_iter=1000, restarts=5):
+    """One-restart-at-a-time deflation loop, the reference for the kernel."""
+    p = R.shape[-1]
+    rows, total_iter, all_conv = [], 0, True
+    for _ in range(p - 1):
+        basis = np.array(rows) if rows else np.empty((0, p))
+        proj = np.eye(p) - basis.T @ basis
+        best_u, best_crit, best_iters, best_conv = None, -1.0, 0, False
+        for _ in range(max(restarts, 1)):
+            u = proj @ rng.standard_normal(p)
+            norm = np.linalg.norm(u)
+            if norm < 1e-12:
+                continue
+            u /= norm
+            run_conv, it = False, 0
+            for it in range(1, max_iter + 1):
+                y = np.einsum("kab,jb->kja", R, u[None, :])
+                d = np.einsum("jb,kjb->kj", u[None, :], y)
+                v = proj @ np.einsum("kj,kja->ja", d, y)[0]
+                n = np.linalg.norm(v)
+                if n < 1e-13:
+                    break
+                v /= n
+                if np.linalg.norm(v - u) < tol:
+                    u, run_conv = v, True
+                    break
+                u = v
+            d = np.einsum("jb,kab,ja->kj", u[None, :], R, u[None, :])
+            crit = float(np.sum(d**2, axis=0)[0])
+            if crit > best_crit:
+                best_u, best_crit, best_iters, best_conv = u, crit, it, run_conv
+        rows.append(best_u)
+        total_iter += best_iters
+        all_conv = all_conv and best_conv
+    return np.array(rows), total_iter, all_conv
+
+
+def sequential_jacobi(R, tol=1e-12, max_sweeps=100):
+    """One-problem cyclic Jacobi loop, the reference for the kernel."""
+    A, p = R.copy(), R.shape[-1]
+    U = np.eye(p)
+    sweeps = 0
+    for _ in range(max_sweeps):
+        max_sin = 0.0
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                am = A[:, i, i] - A[:, j, j]
+                ap = A[:, i, j] + A[:, j, i]
+                ton = float(np.sum(am * am - ap * ap))
+                toff = float(2.0 * np.sum(am * ap))
+                theta = 0.5 * np.arctan2(toff, ton + np.hypot(ton, toff))
+                c, s = np.cos(theta), np.sin(theta)
+                max_sin = max(max_sin, abs(s))
+                if s == 0.0:
+                    continue
+                ai, aj = A[:, i, :].copy(), A[:, j, :].copy()
+                A[:, i, :], A[:, j, :] = c * ai + s * aj, -s * ai + c * aj
+                ai, aj = A[:, :, i].copy(), A[:, :, j].copy()
+                A[:, :, i], A[:, :, j] = c * ai + s * aj, -s * ai + c * aj
+                ui, uj = U[i].copy(), U[j].copy()
+                U[i], U[j] = c * ui + s * uj, -s * ui + c * uj
+        if max_sin < tol:
+            return U, sweeps, True
+        sweeps += 1
+    return U, sweeps, False
+
+
+@pytest.mark.parametrize("name,T", [("b", 400), ("b", 4000), ("c", 1000), ("d", 2000)])
+def test_block_kernels_round_like_the_sequential_loops(name, T):
+    # model (b) has near-tied sources: one ulp of difference in the batched
+    # arithmetic moves deflation's stopping iteration and shows up here
+    stacks = np.stack([lag_stack(autocov_set(simulate_sources(benchmark_model(name), T, s),
+                                             range(1, 11), centered=True))
+                       for s in range(6)])
+    defl = deflation_block(stacks, [np.random.default_rng((s, 1)) for s in range(6)])
+    jac = jacobi_block(stacks)
+    for s, r in enumerate(stacks):
+        rows, iters, conv = sequential_deflation_rows(r, np.random.default_rng((s, 1)))
+        u = np.vstack([rows, null_space(rows)[:, 0]])
+        np.testing.assert_array_equal(defl.u[s], _finish(u, r, reorder=False)[0])
+        assert (defl.iterations[s], defl.converged[s]) == (iters, conv)
+        u, sweeps, conv = sequential_jacobi(r)
+        np.testing.assert_array_equal(jac.u[s], _finish(u, r)[0])
+        assert (jac.iterations[s], jac.converged[s]) == (sweeps, conv)
