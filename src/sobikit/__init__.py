@@ -16,6 +16,7 @@ from .autocovariance import (
 from .asymptotics import (
     ASVTable,
     AsymptoticModel,
+    asv,
     asv_deflation,
     asv_symmetric,
     build_model,
@@ -33,7 +34,7 @@ from .joint_diag import (
     sobi_symmetric_fixedpoint,
     sobi_symmetric_jacobi,
 )
-from .metrics import amari, mdi, mdi_expected_limit
+from .metrics import amari, mdi
 from .presets import BENCHMARK_MODELS, LAG_PRESETS, benchmark_model, lag_preset
 from .signal_model import (
     MAExpansion,
@@ -58,6 +59,7 @@ __all__ = [
     "UnmixingResult",
     "amari",
     "amuse",
+    "asv",
     "asv_deflation",
     "asv_symmetric",
     "autocorrelations",
@@ -71,7 +73,6 @@ __all__ = [
     "global_criterion",
     "lag_preset",
     "mdi",
-    "mdi_expected_limit",
     "mix",
     "sample_autocov",
     "simulate_sources",

@@ -26,6 +26,7 @@ __all__ = [
     "build_model",
     "dlm",
     "vlm",
+    "asv",
     "asv_deflation",
     "asv_symmetric",
     "global_criterion",
@@ -35,17 +36,28 @@ __all__ = [
 
 _IDENT_TOL = 1e-12
 
+# method of a fit (or a formula name) -> the ASV formulas that describe it
+_FORMULAS = {
+    "deflation": "deflation",
+    "symmetric": "symmetric",
+    "symmetric-fixedpoint": "symmetric",
+    "symmetric-jacobi": "symmetric",
+}
+
 
 @dataclasses.dataclass(frozen=True)
 class AsymptoticModel:
     """Source model prepared for limiting-variance evaluation.
+
+    Every per-component attribute, and every row and column of an ASV
+    table built from the model, is in estimator order (see ``build_model``).
 
     Attributes
     ----------
     expansions : tuple of MAExpansion
         Unit-variance weight sequences, one per component.
     kmax : int
-        Horizon: F_k is stored for |k| <= kmax and is exactly zero there
+        Horizon: F_k is stored for 0 <= k <= kmax and is exactly zero there
         beyond the weight support.
     beta : ndarray
         Fourth-moment parameters of the innovations, beta[i, i] =
@@ -53,9 +65,11 @@ class AsymptoticModel:
     lags : tuple of int
         The analysis lags entering the estimators.
     f : dict
-        Map k -> F_k with (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}.
-    lam : dict
-        Map k >= 0 -> vector of source autocovariances (diagonal of F_k).
+        Map k >= 0 -> F_k with (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}.
+    diag_seqs : ndarray
+        (p, 2 kmax + 1): row i holds lambda_k = (F_k)_ii at column kmax + k.
+    order : tuple of int
+        Row r is the component listed at position order[r].
     """
 
     expansions: tuple[MAExpansion, ...]
@@ -63,8 +77,8 @@ class AsymptoticModel:
     beta: np.ndarray
     lags: tuple[int, ...]
     f: dict
-    lam: dict
-    diag_seqs: np.ndarray  # (p, 2*kmax+1), row i holds (F_k)_ii centered at kmax
+    diag_seqs: np.ndarray
+    order: tuple[int, ...]
 
     @property
     def p(self) -> int:
@@ -103,9 +117,13 @@ def build_model(
 ) -> AsymptoticModel:
     """Assemble F_k, lambda_kj and fourth-moment data for ASV evaluation.
 
-    ``kmax`` defaults to max(lags) + the longest weight support, which makes
-    every D_lm sum exact; a smaller explicit horizon is rejected.  ``beta``
-    defaults to independent normal innovations (diagonal 3, off-diagonal 1).
+    Components, and ``beta`` given in listed order, are sorted into the
+    order the deflation estimator extracts them: decreasing sum over
+    ``lags`` of lambda_k^2, ties kept in listed order; the permutation is
+    kept as ``order``.  ``kmax`` defaults to max(lags) + the longest weight
+    support, which makes every D_lm sum exact; a smaller explicit horizon
+    is rejected.  ``beta`` defaults to independent normal innovations
+    (diagonal 3, off-diagonal 1).
     """
     expansions = tuple(expansions)
     p = len(expansions)
@@ -137,27 +155,22 @@ def build_model(
     padded = np.zeros((p, support))
     for i, e in enumerate(expansions):
         padded[i, : e.psi.size] = e.psi
+    strength = sum(((padded[:, : support - k] * padded[:, k:]).sum(axis=1) ** 2
+                    for k in lags if k < support), np.zeros(p))
+    order = np.argsort(-strength, kind="stable")
+    padded = padded[order]
+    beta = beta[np.ix_(order, order)]
 
-    f: dict[int, np.ndarray] = {}
-    for k in range(kmax + 1):
-        if k < support:
-            fk = padded[:, : support - k] @ padded[:, k:].T
-        else:
-            fk = np.zeros((p, p))
-        f[k] = fk
-        if k:
-            f[-k] = fk.T.copy()
+    f = {k: padded[:, : support - k] @ padded[:, k:].T if k < support
+         else np.zeros((p, p)) for k in range(kmax + 1)}
     if np.max(np.abs(np.diag(f[0]) - 1.0)) > 1e-12:
         raise ValueError("expansions are not unit variance")
 
-    lam = {k: np.diag(f[k]).copy() for k in range(kmax + 1)}
-    diag_seqs = np.empty((p, 2 * kmax + 1))
-    for k in range(kmax + 1):
-        diag_seqs[:, kmax + k] = lam[k]
-        diag_seqs[:, kmax - k] = lam[k]
+    lam = np.stack([np.diag(f[k]) for k in range(kmax + 1)], axis=1)
     return AsymptoticModel(
-        expansions=expansions, kmax=kmax, beta=beta, lags=lags,
-        f=f, lam=lam, diag_seqs=diag_seqs,
+        expansions=tuple(expansions[i] for i in order), kmax=kmax, beta=beta,
+        lags=lags, f=f, diag_seqs=np.concatenate([lam[:, :0:-1], lam], axis=1),
+        order=tuple(order.tolist()),
     )
 
 
@@ -278,22 +291,23 @@ def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
     return ASVTable(per_element=out, method=method)
 
 
-def _exact_asv(model: AsymptoticModel, method: str) -> ASVTable:
+def _exact_terms(model: AsymptoticModel) -> tuple[np.ndarray, np.ndarray]:
+    """lambda rows (lag x component) and D over (0,) + lags of a model."""
     lags = np.asarray(model.lags, dtype=int)
     lam = model.diag_seqs[:, model.kmax + lags].T
-    return _asv_table(lam, _model_tensor(model, np.r_[0, lags]), method)
+    return lam, _model_tensor(model, np.r_[0, lags])
 
 
 def asv_deflation(model: AsymptoticModel) -> ASVTable:
     """Per-element limiting variances of the deflation-based estimator.
 
     Requires the identifiability ordering: the per-component criterion
-    values sum_k lambda_kj^2 must be strictly decreasing over the analysis
-    lags.  Diagonal entries are (D_00)_jj / 4; off-diagonal entries follow
-    the two rational expressions (extraction row before or after the
-    interfering component) in lambda, mu and D_lm.
+    values sum_k lambda_kj^2, sorted by ``build_model``, must be strictly
+    decreasing over the analysis lags.  Diagonal entries are (D_00)_jj / 4;
+    off-diagonal entries follow the two rational expressions (extraction
+    row before or after the interfering component) in lambda, mu and D_lm.
     """
-    return _exact_asv(model, "deflation")
+    return _asv_table(*_exact_terms(model), "deflation")
 
 
 def asv_symmetric(model: AsymptoticModel) -> ASVTable:
@@ -302,7 +316,20 @@ def asv_symmetric(model: AsymptoticModel) -> ASVTable:
     Requires pairwise identifiability: every pair of components must have
     distinct autocovariance profiles over the analysis lags.
     """
-    return _exact_asv(model, "symmetric")
+    return _asv_table(*_exact_terms(model), "symmetric")
+
+
+def asv(model: AsymptoticModel, method: str) -> ASVTable:
+    """Exact ASV table of ``method``, a formula or a solver name.
+
+    ``"deflation"`` gives ``asv_deflation``; ``"symmetric"`` and both
+    symmetric solvers give ``asv_symmetric``.  Any other method, AMUSE
+    included, raises ``ValueError``: its ASV is not implemented here.
+    """
+    if method not in _FORMULAS:
+        raise ValueError(f"no ASV for method {method!r}")
+    # looked up at call time, so a rebinding of the module names is honoured
+    return globals()[f"asv_{_FORMULAS[method]}"](model)
 
 
 def global_criterion(table: ASVTable) -> float:
@@ -340,15 +367,6 @@ def transform_general_mixing(sigma: np.ndarray, gamma: np.ndarray,
     raise ValueError("target must be 'unmixing' or 'mixing'")
 
 
-# method of a fit (or a formula name) -> the ASV formulas that describe it
-_EMPIRICAL_FORMULAS = {
-    "deflation": "deflation",
-    "symmetric": "symmetric",
-    "symmetric-fixedpoint": "symmetric",
-    "symmetric-jacobi": "symmetric",
-}
-
-
 def empirical_asv(
     x: np.ndarray,
     result: UnmixingResult,
@@ -378,7 +396,7 @@ def empirical_asv(
     """
     if method is None:
         method = result.method
-    if method not in _EMPIRICAL_FORMULAS:
+    if method not in _FORMULAS:
         raise ValueError(f"no plug-in ASV for method {method!r}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
@@ -409,4 +427,4 @@ def empirical_asv(
     l0 = np.r_[0, lag_arr]
     # beta_ij = 1 off the diagonal drops the F_l cross term; zeros stand in
     d = _d_tensor(diag_seqs, beta, np.zeros((l0.size, p, p)), l0)
-    return _asv_table(rho[:, lag_arr].T, d, _EMPIRICAL_FORMULAS[method])
+    return _asv_table(rho[:, lag_arr].T, d, _FORMULAS[method])

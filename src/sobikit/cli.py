@@ -91,23 +91,10 @@ def _fit(acs, method, args):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _sorted_expansions(specs, lags):
-    """Expansions in identifiability order over the analysis lags.
-
-    The deflation variance formulas are defined for components sorted by
-    decreasing sum of squared autocovariances; sorting here makes the
-    reported tables independent of the order components were listed in.
-    """
+def _exact_model(specs, lags):
+    """ASV model of the specs, which ``build_model`` puts in estimator order."""
     exps = [expand_to_ma(s, component_index=i) for i, s in enumerate(specs)]
-
-    def strength(e):
-        psi = e.psi
-        return sum(
-            float(np.dot(psi[: psi.size - k], psi[k:])) ** 2
-            for k in lags if k < psi.size
-        )
-
-    return sorted(exps, key=strength, reverse=True)
+    return asymptotics.build_model(exps, lags)
 
 
 def cmd_simulate(args) -> int:
@@ -154,13 +141,11 @@ def cmd_separate(args) -> int:
 def cmd_asv(args) -> int:
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
-    exps = _sorted_expansions(specs, lags)
-    model = asymptotics.build_model(exps, lags)
+    model = _exact_model(specs, lags)
     methods = ("deflation", "symmetric") if args.method == "both" else (args.method,)
     lines = []
     for method in methods:
-        table = (asymptotics.asv_deflation(model) if method == "deflation"
-                 else asymptotics.asv_symmetric(model))
+        table = asymptotics.asv(model, method)
         p = table.per_element.shape[0]
         for j in range(p):
             for i in range(p):
@@ -235,14 +220,12 @@ def cmd_benchmark(args) -> int:
                              f"{', '.join(_BENCHMARK_METHODS)}")
 
     expected = {}
-    exps = _sorted_expansions(specs, lags)
-    model = asymptotics.build_model(exps, lags)
+    model = _exact_model(specs, lags)
     for method in methods:
         try:
-            table = (asymptotics.asv_deflation(model) if method == "deflation"
-                     else asymptotics.asv_symmetric(model))
-            expected[method] = asymptotics.global_criterion(table)
-        except ValueError:
+            expected[method] = asymptotics.global_criterion(asymptotics.asv(model, method))
+        except ValueError as exc:
+            print(f"warning: {method}: no exact ASV ({exc})", file=sys.stderr)
             expected[method] = float("nan")
 
     blocks = _rep_blocks(args.reps, args.jobs)

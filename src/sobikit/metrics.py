@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-__all__ = ["mdi", "mdi_expected_limit", "amari"]
+__all__ = ["mdi", "amari"]
 
 
 def mdi(g: np.ndarray) -> float:
@@ -37,19 +37,6 @@ def mdi(g: np.ndarray) -> float:
     rows, cols = linear_sum_assignment(weights, maximize=True)
     matched = float(weights[rows, cols].sum())
     return float(np.sqrt(max(p - matched, 0.0) / (p - 1)))
-
-
-def mdi_expected_limit(sigma_offdiag_sum: float) -> float:
-    """Expected value of the limiting law of T (p-1) mdi^2.
-
-    The limit is a weighted sum of chi-squared variables whose expectation
-    equals the summed off-diagonal limiting variances of the unmixing
-    estimate; the argument is that sum (see
-    ``asymptotics.global_criterion``) and is returned unchanged.
-    """
-    if sigma_offdiag_sum < 0:
-        raise ValueError("off-diagonal variance sum must be non-negative")
-    return float(sigma_offdiag_sum)
 
 
 def amari(g: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sobikit.asymptotics import (
+    asv,
     asv_deflation,
     asv_symmetric,
     build_model,
@@ -57,7 +58,7 @@ def test_ar1_lambdas_are_powers():
     model = build_model(exps, LAGS)
     for k in range(11):
         np.testing.assert_allclose(
-            model.lam[k], [0.6**k, 0.4**k, 0.2**k], atol=1e-12)
+            model.diag_seqs[:, model.kmax + k], [0.6**k, 0.4**k, 0.2**k], atol=1e-12)
 
 
 def test_ma_lambdas_match_direct_weight_products():
@@ -66,15 +67,15 @@ def test_ma_lambdas_match_direct_weight_products():
     for k in LAGS:
         direct = [float(np.dot(e.psi[:-k], e.psi[k:])) if k < e.psi.size else 0.0
                   for e in exps]
-        np.testing.assert_allclose(model.lam[k], direct, atol=1e-13)
+        np.testing.assert_allclose(model.diag_seqs[:, model.kmax + k], direct,
+                                   atol=1e-13)
 
 
-def test_f_matrices_transpose_and_support():
+def test_f_matrices_support():
     exps = sorted_expansions("a")
     model = build_model(exps, (1, 2, 3))
     support = max(e.psi.size for e in exps)
-    for k in range(1, model.kmax + 1):
-        np.testing.assert_array_equal(model.f[-k], model.f[k].T)
+    assert sorted(model.f) == list(range(model.kmax + 1))
     for k in range(support, model.kmax + 1):
         np.testing.assert_array_equal(model.f[k], np.zeros((3, 3)))
 
@@ -255,15 +256,42 @@ def test_symmetric_entry_matches_symbolic_ar1():
     np.testing.assert_allclose(table[j, i], expected, rtol=1e-9)
 
 
-def test_deflation_requires_sorted_components():
-    # the strongest MA component of model "a" is first but the second and
-    # third are out of criterion order, so the raw listing violates the
-    # decreasing-criterion requirement
-    exps = [expand_to_ma(s, component_index=i)
-            for i, s in enumerate(benchmark_model("a"))]
-    with pytest.raises(ValueError, match="identifiability failure"):
-        asv_deflation(build_model(exps, LAGS))
-    asv_deflation(build_model(sorted_expansions("a"), LAGS))
+def test_build_model_sorts_into_estimator_order():
+    # the strongest MA component of model "a" is listed first but the
+    # second and third are out of criterion order; any listing gives the
+    # tables of the sorted one, and row r is listed component order[r]
+    listed = [expand_to_ma(s, component_index=i)
+              for i, s in enumerate(benchmark_model("a"))]
+    ref = build_model(sorted_expansions("a"), LAGS)
+    assert ref.order == (0, 1, 2)
+    for exps, order in ((listed, (0, 2, 1)), (listed[::-1], (2, 0, 1))):
+        model = build_model(exps, LAGS)
+        assert model.order == order
+        assert [e.component_index for e in model.expansions] == [0, 2, 1]
+        for fn in (asv_deflation, asv_symmetric):
+            np.testing.assert_array_equal(fn(model).per_element,
+                                          fn(ref).per_element)
+
+
+def test_build_model_permutes_beta_with_the_components():
+    beta = np.array([[5.0, 1.5, 1.2],
+                     [1.5, 4.0, 1.1],
+                     [1.2, 1.1, 3.5]])
+    exps = sorted_expansions("a")
+    ref = build_model(exps, LAGS, beta=beta)
+    rev = build_model(exps[::-1], LAGS, beta=beta[::-1, ::-1])
+    assert rev.order == (2, 1, 0)
+    np.testing.assert_array_equal(rev.beta, beta)
+    for fn in (asv_deflation, asv_symmetric):
+        np.testing.assert_array_equal(fn(rev).per_element, fn(ref).per_element)
+
+
+def test_listed_order_of_model_c_needs_no_sorting_by_the_caller():
+    exps = [expand_to_ma(s) for s in benchmark_model("c")]
+    model = build_model(exps, range(1, 11))
+    assert model.order != (0, 1, 2)
+    got = global_criterion(asv_deflation(model))
+    assert abs(got - FROZEN_GLOBAL["c"][0]) < 1e-8
 
 
 def test_identical_components_rejected():
@@ -446,7 +474,17 @@ def test_exact_tables_beyond_weight_support_match_closed_form_ar1():
         np.testing.assert_allclose(dlm(model, l, m), expected,
                                    rtol=1e-9, atol=1e-15)
     lam = np.array([[phi**k for phi in phis] for k in lags])
-    for method, fn in (("deflation", asv_deflation), ("symmetric", asv_symmetric)):
+    fns = {"deflation": asv_deflation, "symmetric": asv_symmetric}
+    for method, fn in fns.items():
         np.testing.assert_allclose(fn(model).per_element,
                                    reference_table(lam, lags, d, method),
                                    rtol=1e-9)
+    # asv(model, method) takes a formula or a solver name
+    for name in ("deflation", "symmetric", "symmetric-fixedpoint", "symmetric-jacobi"):
+        method = name.split("-")[0]
+        table = asv(model, name)
+        assert table.method == method
+        np.testing.assert_array_equal(table.per_element, fns[method](model).per_element)
+    for name in ("amuse", "bogus"):
+        with pytest.raises(ValueError, match="no ASV"):
+            asv(model, name)

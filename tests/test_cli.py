@@ -315,3 +315,19 @@ def test_missing_data_file_errors(capsys):
     assert main(["separate", "--data", "/nonexistent.csv", "--lags", "1-3",
                  "--output", "/tmp/x"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_benchmark_warns_when_no_exact_asv(tmp_path, capsys):
+    # two identical AR(0.5) components: neither method has a finite limit
+    model = write_model(tmp_path / "twin.json", [{"kind": "ar", "ar": [0.5]}] * 2)
+    assert main(["benchmark", "--model", model, "--lags", "1-3",
+                 "--T-values", "500", "--reps", "3"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.strip().splitlines()]
+    assert [row[:3] for row in rows] == [["500", "deflation", "3"],
+                                         ["500", "symmetric-jacobi", "3"]]
+    assert [row[4] for row in rows] == ["nan", "nan"]
+    assert captured.err.splitlines() == [
+        "warning: deflation: no exact ASV (identifiability failure)",
+        "warning: symmetric-jacobi: no exact ASV (pairwise identifiability failure)",
+    ]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobikit.asymptotics import asv_symmetric, build_model, global_criterion
-from sobikit.metrics import amari, mdi, mdi_expected_limit
+from sobikit.metrics import amari, mdi
 from sobikit.presets import benchmark_model
 from sobikit.signal_model import expand_to_ma
 
@@ -104,14 +104,7 @@ def test_validation_errors():
         amari(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
-def test_expected_limit_passthrough():
-    assert mdi_expected_limit(10.6) == 10.6
-    with pytest.raises(ValueError):
-        mdi_expected_limit(-0.5)
-
-
 def test_expected_limit_of_model_c_symmetric():
     exps = [expand_to_ma(s) for s in benchmark_model("c")]
     model = build_model(exps, range(1, 11))
-    val = mdi_expected_limit(global_criterion(asv_symmetric(model)))
-    assert abs(val - 9.4) < 0.05
+    assert abs(global_criterion(asv_symmetric(model)) - 9.4) < 0.05
