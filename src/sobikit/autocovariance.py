@@ -40,9 +40,13 @@ def _as_series(x) -> np.ndarray:
         raise ValueError("series must be a p x T matrix")
     if x.shape[1] < 2:
         raise ValueError("series must have at least T = 2 observations")
+    _check_finite(x)
+    return x
+
+
+def _check_finite(x: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-    return x
 
 
 def sample_autocov(x, k: int, centered: bool = False) -> np.ndarray:
@@ -62,32 +66,59 @@ def sample_autocov(x, k: int, centered: bool = False) -> np.ndarray:
 
 
 def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
-    """S_k of a validated (and, if wanted, already centered) series."""
-    T = x.shape[1]
+    """S_k of validated (and, if wanted, already centered) series x (..., p, T).
+
+    Leading axes are a batch: stacked matmul rounds each series exactly as
+    the one-series product does.
+    """
+    T = x.shape[-1]
     if k == 0:
-        m = (x @ x.T) / T
+        m = (x @ x.mT) / T
     else:
-        a = x[:, : T - k] @ x[:, k:].T
-        m = (a + a.T) / (2 * (T - k))
-    return (m + m.T) / 2
+        a = x[..., : T - k] @ x[..., k:].mT
+        m = (a + a.mT) / (2 * (T - k))
+    return (m + m.mT) / 2
 
 
-def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
-    """Assemble S_0 together with S_k for each requested positive lag."""
-    x = _as_series(x)
+def _check_lags(lags: Sequence[int], T: int) -> tuple[int, ...]:
+    """The lags as ints, checked against each other and against T."""
     lags = tuple(int(k) for k in lags)
     if len(set(lags)) != len(lags):
         raise ValueError("duplicate lags")
     if any(k <= 0 for k in lags):
         raise ValueError("lags must be positive")
-    T = x.shape[1]
     if any(k > T - 2 for k in lags):
         raise ValueError("lag out of range")
+    return lags
+
+
+def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
+    """Assemble S_0 together with S_k for each requested positive lag."""
+    x = _as_series(x)
+    T = x.shape[1]
+    lags = _check_lags(lags, T)
     if centered:
         x = x - x.mean(axis=1, keepdims=True)
     s0 = _lag_product(x, 0)
     lagged = {k: _lag_product(x, k) for k in lags}
     return AutocovSet(s0=s0, lagged=lagged, lags=lags, T=T, centered=centered)
+
+
+def _whiten(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
+    """Symmetric inverse square root of each covariance matrix in s0 (..., p, p)."""
+    w, v = np.linalg.eigh((s0 + s0.mT) / 2)
+    floor = 1e-12 * np.maximum(w[..., -1], 0.0) if eps is None else eps
+    if np.any(w[..., 0] <= floor):
+        raise ValueError("not positive definite")
+    m = (v * w[..., None, :] ** -0.5) @ v.mT
+    return (m + m.mT) / 2
+
+
+def _whitened(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """R_k = W S_k W, symmetrized, for W (..., p, p) and S (..., K, p, p)."""
+    w = w[..., None, :, :]
+    r = w @ s @ w
+    return (r + r.mT) / 2
 
 
 def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
@@ -96,22 +127,13 @@ def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
     Eigendecomposition based: W = V diag(w**-1/2) V'.  ``eps`` is the
     eigenvalue floor; by default 1e-12 relative to the largest eigenvalue.
     """
-    s0 = np.asarray(s0, dtype=float)
-    w, v = np.linalg.eigh((s0 + s0.T) / 2)
-    if eps is None:
-        eps = 1e-12 * max(w[-1], 0.0)
-    if w[0] <= eps:
-        raise ValueError("not positive definite")
-    m = (v * w**-0.5) @ v.T
-    return (m + m.T) / 2
+    return _whiten(np.asarray(s0, dtype=float), eps)
 
 
 def autocorrelations(acs: AutocovSet, w: np.ndarray | None = None) -> list[np.ndarray]:
     """Whitened autocovariances R_k = W S_k W, symmetrized, in lag order."""
     if w is None:
         w = whitener(acs.s0)
-    out = []
-    for k in acs.lags:
-        r = w @ acs.lagged[k] @ w
-        out.append((r + r.T) / 2)
-    return out
+    if not acs.lags:
+        return []
+    return list(_whitened(w, np.stack([acs.lagged[k] for k in acs.lags])))

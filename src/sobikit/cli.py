@@ -9,8 +9,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import asymptotics, joint_diag, metrics, presets
-from .autocovariance import autocorrelations, autocov_set, whitener
+from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_model
+from .autocovariance import AutocovSet, autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
 _METHODS = ("amuse", "deflation", "symmetric-fixedpoint", "symmetric-jacobi")
@@ -37,6 +37,8 @@ def _parse_lags(spec: str) -> tuple[int, ...]:
             out.extend(range(int(lo), int(hi) + 1, step))
         else:
             out.append(int(item))
+    if not out:
+        raise ValueError(f"lag list {spec!r} names no lag")
     return tuple(out)
 
 
@@ -109,6 +111,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    _check_solver_options(args)
     x = _read_series(args.data)
     lags = _parse_lags(args.lags)
     acs = autocov_set(x, lags, centered=not args.no_center)
@@ -164,6 +167,9 @@ def cmd_asv(args) -> int:
 # that per-call overhead on p x p matrices stops dominating, small enough
 # that the stacked lag matrices of a block stay small.
 _BLOCK_REPS = 256
+# Upper bound on the bytes of simulated series held at once: the reps of a
+# block are simulated and reduced to lag matrices this many at a time.
+_CHUNK_BYTES = 1 << 20
 
 
 def _rep_blocks(reps: int, jobs: int) -> list[range]:
@@ -172,24 +178,41 @@ def _rep_blocks(reps: int, jobs: int) -> list[range]:
     return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
 
 
-def _mc_block(specs, lags, T, reps, methods, args) -> dict[str, list[float]]:
+def _block_lag_matrices(plan, lags, T, reps, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Centered S_0 (B, p, p) and S_k (B, K, p, p) of the reps' series.
+
+    Rep r is simulated from ``plan`` with the seed (seed, r).  The reps are
+    simulated a chunk of at most _CHUNK_BYTES at a time into one buffer, and
+    each chunk is reduced at once; every matrix equals, bit for bit, what
+    autocov_set gives on that rep's series alone.
+    """
+    lags = autocovariance._check_lags(lags, T)
+    p, B = len(plan.components), len(reps)
+    s0, S = np.empty((B, p, p)), np.empty((B, len(lags), p, p))
+    buf = np.empty((min(B, max(1, _CHUNK_BYTES // (8 * p * T))), p, T))
+    for lo in range(0, B, len(buf)):
+        z = buf[: min(len(buf), B - lo)]
+        for c, rep in enumerate(reps[lo: lo + len(z)]):
+            signal_model._draw_sources(plan, (seed, rep), z[c])
+        autocovariance._check_finite(z)
+        z -= z.mean(axis=-1, keepdims=True)
+        s0[lo: lo + len(z)] = autocovariance._lag_product(z, 0)
+        for i, k in enumerate(lags):
+            S[lo: lo + len(z), i] = autocovariance._lag_product(z, k)
+    return s0, S
+
+
+def _mc_block(plan, lags, T, reps, methods, args) -> dict[str, list[float]]:
     """T (p-1) mdi^2 of every rep in ``reps`` for every method.
 
-    Each rep is simulated once, from the seed (args.seed, rep), and its
-    series is dropped once its lag matrices are computed; deflation draws
-    its restarts from (args.seed, rep, 1).  The kernels solve the whole
-    block at once and give each rep the result it gets alone.
+    The whole block is whitened and solved at once; deflation draws rep r's
+    restarts from (args.seed, r, 1).  Every rep gets the result that the
+    public chain simulate_sources -> autocov_set -> solver gives it alone.
     """
-    acss, ws, rs = [], [], []
-    for rep in reps:
-        z = simulate_sources(specs, T, (args.seed, rep), burn_in=args.burn_in)
-        acs = autocov_set(z, lags, centered=True)
-        w = whitener(acs.s0)
-        acss.append(acs)
-        ws.append(w)
-        rs.append(np.stack(autocorrelations(acs, w)))
-    R = np.stack(rs)
-    p = R.shape[-1]
+    s0, S = _block_lag_matrices(plan, lags, T, reps, args.seed)
+    W = autocovariance._whiten(s0)
+    R = autocovariance._whitened(W, S)
+    B, p = len(reps), s0.shape[-1]
     out = {}
     for method in methods:
         if method == "deflation":
@@ -200,8 +223,10 @@ def _mc_block(specs, lags, T, reps, methods, args) -> dict[str, list[float]]:
             us = joint_diag.jacobi_block(R, tol=args.jacobi_tol,
                                          max_sweeps=args.max_sweeps).u
         else:
+            acss = (AutocovSet(s0=s0[b], lagged=dict(zip(lags, S[b])), lags=lags,
+                               T=T, centered=True) for b in range(B))
             us = [_fit(acs, method, args).u for acs in acss]
-        out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, ws)]
+        out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, W)]
     return out
 
 
@@ -210,9 +235,12 @@ def cmd_benchmark(args) -> int:
         raise ValueError("--reps must be at least 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    _check_solver_options(args)
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
     t_values = [int(t) for t in args.T_values.split(",")]
+    if min(t_values) < 2:
+        raise ValueError("T must be at least 2")
     methods = [m.strip() for m in args.methods.split(",")]
     for method in methods:
         if method not in _BENCHMARK_METHODS:
@@ -228,8 +256,9 @@ def cmd_benchmark(args) -> int:
             print(f"warning: {method}: no exact ASV ({exc})", file=sys.stderr)
             expected[method] = float("nan")
 
+    plan = signal_model._plan_sources(specs, args.burn_in)
     blocks = _rep_blocks(args.reps, args.jobs)
-    tasks = [(specs, lags, T, reps, methods, args) for T in t_values for reps in blocks]
+    tasks = [(plan, lags, T, reps, methods, args) for T in t_values for reps in blocks]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(_mc_block, *zip(*tasks)))
@@ -252,6 +281,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_lagselect(args) -> int:
+    _check_solver_options(args)
     x = _read_series(args.data)
     lag_sets = [_parse_lags(s) for s in args.lag_sets.split(";")]
     if len(lag_sets) < 2:
@@ -281,14 +311,30 @@ def cmd_lagselect(args) -> int:
 
 
 def _add_solver_options(sp):
-    sp.add_argument("--method", default="symmetric-jacobi", choices=_METHODS)
-    sp.add_argument("--tau", type=int, default=None,
-                    help="lag diagonalized by amuse (default: smallest)")
+    """The iteration controls that separate, lagselect and benchmark share."""
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--max-iter", type=int, default=1000)
     sp.add_argument("--restarts", type=int, default=5)
     sp.add_argument("--jacobi-tol", type=float, default=1e-12)
     sp.add_argument("--max-sweeps", type=int, default=100)
+
+
+def _check_solver_options(args):
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
+    if args.max_sweeps < 1:
+        raise ValueError("--max-sweeps must be at least 1")
+    if args.restarts < 0:
+        raise ValueError("--restarts must be non-negative")
+    if not args.tol > 0 or not args.jacobi_tol > 0:
+        raise ValueError("--tol and --jacobi-tol must be positive")
+
+
+def _add_fit_options(sp):
+    sp.add_argument("--method", default="symmetric-jacobi", choices=_METHODS)
+    sp.add_argument("--tau", type=int, default=None,
+                    help="lag diagonalized by amuse (default: smallest)")
+    _add_solver_options(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-center", action="store_true",
                     help="skip mean removal (data already centered)")
@@ -319,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", help="CSV with the true mixing matrix")
     sp.add_argument("--header", action="store_true")
     sp.add_argument("--output", required=True, help="output path prefix")
-    _add_solver_options(sp)
+    _add_fit_options(sp)
     sp.set_defaults(func=cmd_separate)
 
     sp = sub.add_parser("asv", help="asymptotic variances of a source model")
@@ -341,11 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--burn-in", type=int, default=2000)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=1000)
-    sp.add_argument("--restarts", type=int, default=5)
-    sp.add_argument("--jacobi-tol", type=float, default=1e-12)
-    sp.add_argument("--max-sweeps", type=int, default=100)
+    _add_solver_options(sp)
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_benchmark)
 
@@ -356,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows", help="1-based source rows to score (default all)")
     sp.add_argument("--kmax", type=int, default=None)
     sp.add_argument("--output")
-    _add_solver_options(sp)
+    _add_fit_options(sp)
     sp.set_defaults(func=cmd_lagselect)
     return ap
 

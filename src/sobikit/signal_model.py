@@ -10,7 +10,7 @@ unit-variance scaling used by the simulator.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -215,6 +215,62 @@ def expand_to_ma(
                        component_index=component_index)
 
 
+class _Component(NamedTuple):
+    """How one source is made from its row of the innovation array."""
+
+    start: int            # first innovation column the component reads
+    discard: int          # warm-up samples dropped from the filter output
+    b: np.ndarray         # lfilter numerator, or the normalised psi weights
+    a: np.ndarray | None  # lfilter denominator; None for a finite convolution
+    norm: float           # root of the sum of squared raw psi weights
+
+
+class _SourcePlan(NamedTuple):
+    pre: int  # innovation columns drawn before the first kept time point
+    components: tuple[_Component, ...]
+
+
+def _plan_sources(specs, burn_in=2000, tol=1e-12, max_len=10**5) -> _SourcePlan:
+    """The part of ``simulate_sources`` that depends on neither T nor the seed."""
+    if burn_in < 0:
+        raise ValueError("burn_in must be non-negative")
+    specs = list(specs)
+    if not specs:
+        raise ValueError("at least one source spec is required")
+    parts = []  # (warm-up columns, then the _Component fields after ``start``)
+    for s in specs:
+        raw = _expand_raw(s, tol, max_len)
+        norm = np.sqrt(np.sum(raw**2))
+        if s.kind in ("ar", "arma") and len(s.ar) > 0:
+            b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
+            a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]
+            parts.append((burn_in, burn_in, b, a, norm))
+        else:
+            parts.append((raw.size - 1, 0, raw / norm, None, norm))
+    pre = max(part[0] for part in parts)
+    return _SourcePlan(pre, tuple(_Component(pre - warm, *rest) for warm, *rest in parts))
+
+
+def _draw_sources(plan: _SourcePlan, seed, out: np.ndarray, innovations=None) -> np.ndarray:
+    """Fill ``out`` (p x T) with the sources drawn from ``default_rng(seed)``."""
+    p, T = out.shape
+    shape = (p, plan.pre + T)
+    rng = np.random.default_rng(seed)
+    if innovations is None:
+        eps = rng.standard_normal(shape)
+    else:
+        eps = np.asarray(innovations(rng, shape), dtype=float)
+        if eps.shape != shape:
+            raise ValueError("innovation hook returned a wrong shape")
+    for i, c in enumerate(plan.components):
+        e = eps[i, c.start:]
+        if c.a is None:
+            out[i] = np.convolve(e, c.b, mode="valid")
+        else:
+            np.divide(lfilter(c.b, c.a, e)[c.discard:], c.norm, out=out[i])
+    return out
+
+
 def simulate_sources(
     specs: Sequence[SourceSpec],
     T: int,
@@ -245,41 +301,8 @@ def simulate_sources(
     """
     if T < 2:
         raise ValueError("T must be at least 2")
-    if burn_in < 0:
-        raise ValueError("burn_in must be non-negative")
-    specs = list(specs)
-    p = len(specs)
-    if p == 0:
-        raise ValueError("at least one source spec is required")
-
-    raws = [_expand_raw(s, tol, max_len) for s in specs]
-    pres = []
-    for s, raw in zip(specs, raws):
-        recursive = s.kind in ("ar", "arma") and len(s.ar) > 0
-        pres.append(burn_in if recursive else raw.size - 1)
-    pre = max(pres)
-
-    rng = np.random.default_rng(seed)
-    if innovations is None:
-        eps = rng.standard_normal((p, pre + T))
-    else:
-        eps = np.asarray(innovations(rng, (p, pre + T)), dtype=float)
-        if eps.shape != (p, pre + T):
-            raise ValueError("innovation hook returned a wrong shape")
-
-    out = np.empty((p, T))
-    for i, (s, raw) in enumerate(zip(specs, raws)):
-        e = eps[i, pre - pres[i]:]
-        recursive = s.kind in ("ar", "arma") and len(s.ar) > 0
-        if recursive:
-            b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
-            a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]
-            y = lfilter(b, a, e)[pres[i]:]
-            out[i] = y / np.sqrt(np.sum(raw**2))
-        else:
-            psi = raw / np.sqrt(np.sum(raw**2))
-            out[i] = np.convolve(e, psi, mode="valid")
-    return out
+    plan = _plan_sources(specs, burn_in, tol, max_len)
+    return _draw_sources(plan, seed, np.empty((len(plan.components), T)), innovations)
 
 
 def mix(z: np.ndarray, model: MixingModel) -> np.ndarray:

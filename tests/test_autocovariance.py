@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobikit.autocovariance import (
+    _lag_product,
+    _whiten,
+    _whitened,
     autocorrelations,
     autocov_set,
     sample_autocov,
@@ -143,3 +146,36 @@ def test_autocorrelations_eigenvalues_under_population_mixing():
         lags=(1,), T=40, centered=False)
     evals = np.linalg.eigvalsh(autocorrelations(acs)[0])
     np.testing.assert_allclose(np.sort(evals), np.sort(np.diag(lam)), atol=1e-10)
+
+
+def test_batched_kernels_round_like_the_one_series_arithmetic():
+    # the kernels over a (B, p, T) stack must give each series the bits of
+    # the one-series arithmetic written out with 2-D products
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((5, 3, 3)) @ rng.standard_normal((5, 3, 400)).cumsum(axis=-1)
+    x -= x.mean(axis=-1, keepdims=True)
+    lags = (1, 4, 9)
+    s0 = _lag_product(x, 0)
+    S = np.stack([_lag_product(x, k) for k in lags], axis=1)
+    W = _whiten(s0)
+    R = _whitened(W, S)
+    T = x.shape[-1]
+    for b, xb in enumerate(x):
+        m = xb @ xb.T / T
+        np.testing.assert_array_equal(s0[b], (m + m.T) / 2)
+        for i, k in enumerate(lags):
+            a = xb[:, : T - k] @ xb[:, k:].T
+            m = (a + a.T) / (2 * (T - k))
+            np.testing.assert_array_equal(S[b, i], (m + m.T) / 2)
+        e, v = np.linalg.eigh((s0[b] + s0[b].T) / 2)
+        m = (v * e**-0.5) @ v.T
+        np.testing.assert_array_equal(W[b], (m + m.T) / 2)
+        for i in range(len(lags)):
+            r = W[b] @ S[b, i] @ W[b]
+            np.testing.assert_array_equal(R[b, i], (r + r.T) / 2)
+
+
+def test_batched_whitening_rejects_a_block_with_one_singular_matrix():
+    s0 = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
+    with pytest.raises(ValueError, match="not positive definite"):
+        _whiten(s0)

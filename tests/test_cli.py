@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from sobikit.autocovariance import autocov_set
+from sobikit import cli
+from sobikit.autocovariance import autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
-from sobikit.joint_diag import sobi_deflation, sobi_symmetric_jacobi
+from sobikit.joint_diag import (
+    sobi_deflation,
+    sobi_symmetric_fixedpoint,
+    sobi_symmetric_jacobi,
+)
 from sobikit.metrics import mdi
 from sobikit.presets import benchmark_model, lag_preset
-from sobikit.signal_model import SourceSpec, simulate_sources
+from sobikit.signal_model import SourceSpec, _plan_sources, simulate_sources
 
 
 def write_model(path, components, omega=None, mu=None):
@@ -206,8 +211,13 @@ def test_benchmark_deterministic_and_jobs_invariant(tmp_path, capsys):
     assert parallel == first
 
 
+SOLVER_OPTIONS_OUT_OF_RANGE = [("--max-iter", "0"), ("--max-sweeps", "0"),
+                               ("--restarts", "-2"), ("--tol", "0"),
+                               ("--jacobi-tol=-1e-12",), ("--tol", "nan")]
+
+
 @pytest.mark.parametrize("option", [("--reps", "0"), ("--jobs", "0"),
-                                    ("--jobs", "-3")])
+                                    ("--jobs", "-3"), *SOLVER_OPTIONS_OUT_OF_RANGE])
 def test_benchmark_rejects_nonpositive_counts(option, capsys):
     assert main(["benchmark", "--preset", "d", "--lags", "1-10",
                  "--reps", "1", "--T-values", "300",
@@ -249,6 +259,78 @@ def test_benchmark_averages_follow_the_public_chain(capsys):
         for method, res in fits.items():
             vals[method].append(T * 2 * mdi(res.gamma) ** 2)
     assert printed == {m: float(np.mean(v)) for m, v in vals.items()}
+
+
+@pytest.mark.parametrize("option", SOLVER_OPTIONS_OUT_OF_RANGE)
+def test_separate_rejects_solver_options_out_of_range(dataset, tmp_path, option, capsys):
+    assert main(["separate", "--data", dataset, "--lags", "1-10",
+                 "--output", str(tmp_path / "sep"), *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "sep.json").exists()
+
+
+@pytest.mark.parametrize("command", ["asv", "separate", "lagselect", "benchmark"])
+def test_empty_lag_list_rejected(dataset, tmp_path, command, capsys):
+    argv = {
+        "asv": ["asv", "--preset", "b", "--lags", ","],
+        "separate": ["separate", "--data", dataset, "--lags", ",",
+                     "--output", str(tmp_path / "sep")],
+        "lagselect": ["lagselect", "--data", dataset, "--lag-sets", "1-3;,"],
+        "benchmark": ["benchmark", "--preset", "b", "--lags", ",", "--reps", "2",
+                      "--T-values", "300"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: lag list ',' names no lag"]
+
+
+@pytest.mark.parametrize("chunk_reps", [1, 7])
+def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
+    # a block of 20 reps split into chunks of 1 or 7 (the last one partial);
+    # every stacked matrix must equal the per-rep public chain bit for bit
+    specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ma", ma=(0.5, -0.3)),
+             SourceSpec("psi", psi=(1.0, 0.0, 0.4))]
+    seed, T, lags, reps = 8, 300, (1, 2, 5, 9), range(3, 23)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_reps * 8 * len(specs) * T)
+    s0, S = cli._block_lag_matrices(_plan_sources(specs), lags, T, reps, seed)
+    W = cli.autocovariance._whiten(s0)
+    R = cli.autocovariance._whitened(W, S)
+    assert S.shape == (len(reps), len(lags), 3, 3)
+    for b, rep in enumerate(reps):
+        acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
+        w = whitener(acs.s0)
+        np.testing.assert_array_equal(s0[b], acs.s0)
+        np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
+        np.testing.assert_array_equal(W[b], w)
+        np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
+
+
+def test_benchmark_fixedpoint_follows_the_public_chain(capsys):
+    seed, T, reps = 6, 400, 12
+    assert main(["benchmark", "--preset", "c", "--lags", "1-10",
+                 "--reps", str(reps), "--T-values", str(T),
+                 "--methods", "symmetric-fixedpoint", "--seed", str(seed)]) == 0
+    printed = float(capsys.readouterr().out.split(",")[3])
+    vals = [T * 2 * mdi(sobi_symmetric_fixedpoint(autocov_set(
+                simulate_sources(benchmark_model("c"), T, (seed, rep)), range(1, 11),
+                centered=True)).gamma) ** 2 for rep in range(reps)]
+    assert printed == float(np.mean(vals))
+
+
+@pytest.mark.parametrize("argv", [["--lags", "1-10", "--T-values", "5"],
+                                  ["--lags", "1-10", "--T-values", "300,5", "--jobs", "2"],
+                                  ["--lags", "1,1", "--T-values", "300"],
+                                  ["--lags", "1-10", "--T-values", "1"]])
+def test_benchmark_rejects_lags_the_series_cannot_carry(argv, capsys):
+    assert main(["benchmark", "--preset", "b", "--reps", "3", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_lagselect_rejects_method_without_asv(dataset, capsys):
