@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_model
-from .autocovariance import AutocovSet, autocov_set
+from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
 _METHODS = ("amuse", "deflation", "symmetric-fixedpoint", "symmetric-jacobi")
@@ -212,7 +212,7 @@ def _mc_block(plan, lags, T, reps, methods, args) -> dict[str, list[float]]:
     s0, S = _block_lag_matrices(plan, lags, T, reps, args.seed)
     W = autocovariance._whiten(s0)
     R = autocovariance._whitened(W, S)
-    B, p = len(reps), s0.shape[-1]
+    p = s0.shape[-1]
     out = {}
     for method in methods:
         if method == "deflation":
@@ -223,9 +223,8 @@ def _mc_block(plan, lags, T, reps, methods, args) -> dict[str, list[float]]:
             us = joint_diag.jacobi_block(R, tol=args.jacobi_tol,
                                          max_sweeps=args.max_sweeps).u
         else:
-            acss = (AutocovSet(s0=s0[b], lagged=dict(zip(lags, S[b])), lags=lags,
-                               T=T, centered=True) for b in range(B))
-            us = [_fit(acs, method, args).u for acs in acss]
+            us = joint_diag.fixedpoint_block(R, lags.index(min(lags)), tol=args.tol,
+                                             max_iter=args.max_iter).u
         out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, W)]
     return out
 

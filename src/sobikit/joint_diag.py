@@ -14,7 +14,6 @@ import warnings as _warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .autocovariance import AutocovSet, autocorrelations, whitener
 
@@ -26,6 +25,7 @@ __all__ = [
     "sobi_symmetric_fixedpoint",
     "sobi_symmetric_jacobi",
     "deflation_block",
+    "fixedpoint_block",
     "jacobi_block",
     "estimating_residual",
 ]
@@ -81,16 +81,11 @@ def _criterion_rows(U: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(U: np.ndarray) -> np.ndarray:
-    U = U.copy()
-    for j in range(U.shape[0]):
-        s = U[j].sum()
-        if s < 0:
-            U[j] = -U[j]
-        elif s == 0:
-            nz = np.nonzero(U[j])[0]
-            if nz.size and U[j, nz[0]] < 0:
-                U[j] = -U[j]
-    return U
+    """Rows of U (..., p, p) negated if their sum is < 0, or 0 with a first nonzero entry < 0."""
+    first = np.take_along_axis(U, np.argmax(U != 0, axis=-1)[..., None], -1)[..., 0]
+    s = U.sum(axis=-1)
+    flip = (s < 0) | ((s == 0) & (first < 0))
+    return np.where(flip[..., None], -U, U)
 
 
 def _order_rows(U: np.ndarray, crit: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
@@ -111,12 +106,34 @@ def _order_rows(U: np.ndarray, crit: np.ndarray, tie_tol: float = 1e-12) -> np.n
 
 
 def _finish(U, R, reorder=True):
+    """Signed (with ``reorder`` also ordered) rows of a block U (B, p, p), and each criterion."""
     crit = _criterion_rows(U, R)
     if reorder:
-        idx = _order_rows(U, crit)
-        U = U[idx]
-    U = _fix_signs(U)
-    return U, float(crit.sum())
+        U = np.stack([u[_order_rows(u, c)] for u, c in zip(U, crit)])
+    return _fix_signs(U), crit.sum(axis=-1)
+
+
+def _eigen_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of symmetric r (..., p, p), decreasing, and their eigenvectors as rows."""
+    evals, evecs = np.linalg.eigh(r)
+    idx = np.argsort(-evals, axis=-1, kind="stable")
+    # gathered as C-contiguous rows: _tmap_rows' einsums round differently on an F-ordered U
+    return np.take_along_axis(evals, idx, -1), np.take_along_axis(evecs.mT, idx[..., None], -2)
+
+
+def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
+    """Whiten ``acs``, ``solve`` its lag stack as a block of one and assemble the result."""
+    if not acs.lags:
+        raise ValueError("no lagged autocovariance to diagonalize: the lag set is empty")
+    W = whitener(acs.s0)
+    fit = solve(np.stack(autocorrelations(acs, W))[None])
+    U = fit.u[0]
+    result = UnmixingResult(
+        gamma=U @ W, u=U, whitener=W, method=method,
+        iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
+        objective=float(fit.objective[0]), residual=0.0,
+    )
+    return dataclasses.replace(result, residual=estimating_residual(result, acs))
 
 
 def amuse(acs: AutocovSet, tau: int) -> UnmixingResult:
@@ -128,27 +145,22 @@ def amuse(acs: AutocovSet, tau: int) -> UnmixingResult:
     """
     if tau not in acs.lags:
         raise ValueError(f"tau = {tau} not among the computed lags")
-    W = whitener(acs.s0)
-    R = np.stack(autocorrelations(acs, W))
-    r_tau = R[acs.lags.index(tau)]
-    evals, evecs = np.linalg.eigh(r_tau)
-    idx = np.argsort(-evals, kind="stable")
-    evals = evals[idx]
-    U = evecs[:, idx].T
-    warn: tuple[str, ...] = ()
-    if U.shape[0] > 1:
+    spectra = []
+
+    def solve(R):
+        evals, U = _eigen_rows(R[:, acs.lags.index(tau)])
+        spectra.append(evals[0])
+        U = _fix_signs(U)
+        return BlockFit(U, _criterion_rows(U, R).sum(axis=-1), [0], [True])
+
+    result = _unmix(acs, "amuse", solve)
+    (evals,) = spectra
+    if len(evals) > 1:
         spread = float(evals[0] - evals[-1])
         if np.min(-np.diff(evals)) < 1e-10 * max(spread, np.finfo(float).tiny):
-            warn = ("eigenvalue tie",)
             _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=2)
-    U = _fix_signs(U)
-    gamma = U @ W
-    result = UnmixingResult(
-        gamma=gamma, u=U, whitener=W, method="amuse", iterations=0,
-        converged=True, objective=float(_criterion_rows(U, R).sum()),
-        residual=0.0, warnings=warn,
-    )
-    return dataclasses.replace(result, residual=estimating_residual(result, acs))
+            result = dataclasses.replace(result, warnings=("eigenvalue tie",))
+    return result
 
 
 def sobi_deflation(
@@ -168,17 +180,8 @@ def sobi_deflation(
     in extraction order, which is criterion-descending whenever each
     subproblem is maximized.
     """
-    W = whitener(acs.s0)
-    R = np.stack(autocorrelations(acs, W))
-    fit = deflation_block(R[None], [np.random.default_rng(seed)], tol=tol,
-                          max_iter=max_iter, restarts=restarts)
-    U = fit.u[0]
-    result = UnmixingResult(
-        gamma=U @ W, u=U, whitener=W, method="deflation",
-        iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
-        objective=float(fit.objective[0]), residual=0.0,
-    )
-    return dataclasses.replace(result, residual=estimating_residual(result, acs))
+    return _unmix(acs, "deflation", lambda R: deflation_block(
+        R, [np.random.default_rng(seed)], tol=tol, max_iter=max_iter, restarts=restarts))
 
 
 def deflation_block(
@@ -200,13 +203,12 @@ def deflation_block(
     """
     B, _, p, _ = R.shape
     restarts = max(restarts, 1)
-    eye = np.eye(p)
     rows = np.empty((B, p, p))
     iterations = np.zeros(B, dtype=int)
     converged = np.ones(B, dtype=bool)
 
     for j in range(p - 1):
-        proj = np.stack([eye - rows[b, :j].T @ rows[b, :j] for b in range(B)])
+        proj = np.eye(p) - rows[:, :j].mT @ rows[:, :j]
         draws = np.stack([rng.standard_normal((restarts, p)) for rng in rngs])
         # stacked matmul and sqrt(vecdot) round like proj @ v and the 1-D
         # norm; einsum or norm(axis=...) forms do not, and on near-tied
@@ -258,13 +260,9 @@ def deflation_block(
                 rows[b, j] = q / np.linalg.norm(q)
                 converged[b] = False
 
-    objective = np.empty(B)
-    for b in range(B):
-        if p > 1:
-            rows[b, p - 1] = null_space(rows[b, : p - 1])[:, 0]
-        else:
-            rows[b] = eye
-        rows[b], objective[b] = _finish(rows[b], R[b], reorder=False)
+    # the last row spans the null space of the others, as its SVD gives it
+    rows[:, p - 1] = np.linalg.svd(rows[:, : p - 1])[2][:, -1]
+    rows, objective = _finish(rows, R, reorder=False)
     return BlockFit(rows, objective, iterations, converged)
 
 
@@ -281,33 +279,49 @@ def sobi_symmetric_fixedpoint(
     polar factor is sign-ambiguous per row) and iteration stops when
     max |U_new - U_old| < tol.
     """
-    W = whitener(acs.s0)
-    R = np.stack(autocorrelations(acs, W))
-    p = acs.p
-    U = amuse(acs, min(acs.lags)).u
-    converged = False
-    it = 0
+    return _unmix(acs, "symmetric-fixedpoint", lambda R: fixedpoint_block(
+        R, acs.lags.index(min(acs.lags)), tol=tol, max_iter=max_iter))
+
+
+def fixedpoint_block(
+    R: np.ndarray,
+    start: int,
+    tol: float = 1e-10,
+    max_iter: int = 1000,
+) -> BlockFit:
+    """Symmetric fixed-point SOBI on B whitened lag stacks R of shape (B, K, p, p).
+
+    Each problem starts from the AMUSE fit of its lag matrix R[:, start]
+    (signed eigenvector rows, by decreasing eigenvalue).  Live problems
+    iterate together; one leaves after the first iteration whose
+    max |U_new - U_old| is below ``tol`` (converged), which ``iterations``
+    counts.  A problem's result does not depend on the block it is in.
+    """
+    U = _fix_signs(_eigen_rows(R[:, start])[1])
+    live, Ra = np.arange(len(R)), R
+    out = np.empty_like(U)
+    iterations = np.full(len(R), max(max_iter, 0))
+    converged = np.zeros(len(R), dtype=bool)
     for it in range(1, max_iter + 1):
-        tmat = _tmap_rows(U, R)
-        m = tmat @ tmat.T
-        evals, evecs = np.linalg.eigh((m + m.T) / 2)
-        if evals[0] <= 1e-14 * max(evals[-1], 0.0):
-            raise ValueError("degenerate temporal structure")
-        u_new = (evecs * evals**-0.5) @ evecs.T @ tmat
-        flip = np.where(np.einsum("ij,ij->i", u_new, U) < 0, -1.0, 1.0)
-        u_new = flip[:, None] * u_new
-        delta = np.max(np.abs(u_new - U))
-        U = u_new
-        if delta < tol:
-            converged = True
+        if live.size == 0:
             break
-    U, objective = _finish(U, R)
-    gamma = U @ W
-    result = UnmixingResult(
-        gamma=gamma, u=U, whitener=W, method="symmetric-fixedpoint",
-        iterations=it, converged=converged, objective=objective, residual=0.0,
-    )
-    return dataclasses.replace(result, residual=estimating_residual(result, acs))
+        tmat = _tmap_rows(U, Ra)
+        m = tmat @ tmat.mT
+        evals, evecs = np.linalg.eigh((m + m.mT) / 2)
+        if np.any(evals[:, 0] <= 1e-14 * np.maximum(evals[:, -1], 0.0)):
+            raise ValueError("degenerate temporal structure")
+        u_new = (evecs * evals[:, None] ** -0.5) @ evecs.mT @ tmat
+        u_new *= np.where(np.einsum("...ij,...ij->...i", u_new, U) < 0, -1.0, 1.0)[..., None]
+        done = np.max(np.abs(u_new - U), axis=(-2, -1)) < tol
+        U = u_new
+        if done.any():
+            out[live[done]] = U[done]
+            iterations[live[done]] = it
+            converged[live[done]] = True
+            U, Ra, live = U[~done], Ra[~done], live[~done]
+    out[live] = U
+    U, objective = _finish(out, R)
+    return BlockFit(U, objective, iterations, converged)
 
 
 def sobi_symmetric_jacobi(
@@ -321,16 +335,8 @@ def sobi_symmetric_jacobi(
     summed squared diagonals of the rotated matrices; sweeps stop when the
     largest |sin(angle)| falls below ``tol``.
     """
-    W = whitener(acs.s0)
-    R = np.stack(autocorrelations(acs, W))
-    fit = jacobi_block(R[None], tol=tol, max_sweeps=max_sweeps)
-    U = fit.u[0]
-    result = UnmixingResult(
-        gamma=U @ W, u=U, whitener=W, method="symmetric-jacobi",
-        iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
-        objective=float(fit.objective[0]), residual=0.0,
-    )
-    return dataclasses.replace(result, residual=estimating_residual(result, acs))
+    return _unmix(acs, "symmetric-jacobi",
+                  lambda R: jacobi_block(R, tol=tol, max_sweeps=max_sweeps))
 
 
 def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> BlockFit:
@@ -378,10 +384,7 @@ def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Bl
             converged[live[done]] = True
             A, U, live = A[~done], U[~done], live[~done]
     out[live] = U
-
-    objective = np.empty(B)
-    for b in range(B):
-        out[b], objective[b] = _finish(out[b], R[b])
+    out, objective = _finish(out, R)
     return BlockFit(out, objective, sweeps, converged)
 
 
@@ -398,8 +401,6 @@ def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:
     p = G.shape[0]
     tg = _tmap_rows(G, np.stack([acs.lagged[k] for k in acs.lags]))
     if result.method == "deflation":
-        if p == 1:
-            return 0.0
         worst = 0.0
         acc = np.zeros((p, p))
         for j in range(p - 1):

@@ -310,7 +310,8 @@ def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
 
 
 def test_benchmark_fixedpoint_follows_the_public_chain(capsys):
-    seed, T, reps = 6, 400, 12
+    # 300 reps are solved as two blocks
+    seed, T, reps = 6, 400, 300
     assert main(["benchmark", "--preset", "c", "--lags", "1-10",
                  "--reps", str(reps), "--T-values", str(T),
                  "--methods", "symmetric-fixedpoint", "--seed", str(seed)]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from scipy.linalg import null_space
 from sobikit.autocovariance import AutocovSet, autocorrelations, autocov_set, whitener
 from sobikit.joint_diag import (
     _finish,
+    _fix_signs,
     amuse,
     deflation_block,
     estimating_residual,
+    fixedpoint_block,
     jacobi_block,
     sobi_deflation,
     sobi_symmetric_fixedpoint,
@@ -70,6 +73,16 @@ def test_amuse_eigenvalue_tie_warning():
     with pytest.warns(RuntimeWarning, match="eigenvalue tie"):
         res = amuse(acs, 1)
     assert "eigenvalue tie" in res.warnings
+
+
+def test_fixedpoint_start_lag_tie_raises_no_warning():
+    # the start lag's tied eigenvalues are the fixed point's business, not
+    # an AMUSE fit: nothing is warned and nothing is recorded
+    acs = planted_acs([[0.5, 0.5, 0.1], [0.9, 0.2, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = sobi_symmetric_fixedpoint(acs)
+    assert res.warnings == ()
 
 
 def test_amuse_requires_computed_lag():
@@ -206,11 +219,27 @@ def test_fixedpoint_reports_non_convergence():
     assert not res.converged
 
 
-@pytest.mark.filterwarnings("ignore:eigenvalue tie")
+def test_fixedpoint_starts_from_the_smallest_lag():
+    # with no iteration the fit is the AMUSE rows of lag 1, listed second here,
+    # reordered by criterion
+    z = simulate_sources(benchmark_model("c"), T=1000, seed=40)
+    acs = autocov_set(z, (3, 1, 2), centered=True)
+    res = sobi_symmetric_fixedpoint(acs, max_iter=0)
+    assert (res.iterations, res.converged) == (0, False)
+    assert sorted(map(tuple, res.u)) == sorted(map(tuple, amuse(acs, 1).u))
+
+
 def test_fixedpoint_degenerate_structure_rejected():
     acs = planted_acs([[0.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate temporal structure"):
         sobi_symmetric_fixedpoint(acs)
+
+
+@pytest.mark.parametrize("method", ["deflation", "fixedpoint", "jacobi"])
+def test_solvers_reject_an_empty_lag_set(method):
+    acs = autocov_set(np.random.default_rng(5).standard_normal((3, 500)), ())
+    with pytest.raises(ValueError, match="lag set is empty"):
+        fitted(method, acs)
 
 
 def test_amuse_recovers_latent_series():
@@ -291,18 +320,26 @@ def test_deflation_block_matches_each_problem_alone(options):
             np.testing.assert_array_equal(got[s], want[0])
 
 
-@pytest.mark.parametrize("options", [{}, {"max_sweeps": 2}])
-def test_jacobi_block_matches_each_problem_alone(options):
-    # an already diagonal problem needs no sweep and leaves the block first
+def fixedpoint_from_lag_1(R, **options):
+    return fixedpoint_block(R, 0, **options)
+
+
+@pytest.mark.parametrize("kernel,options", [
+    pytest.param(jacobi_block, {}, id="options0"),
+    pytest.param(jacobi_block, {"max_sweeps": 2}, id="options1"),
+    pytest.param(fixedpoint_from_lag_1, {}, id="fixedpoint-options0"),
+    pytest.param(fixedpoint_from_lag_1, {"max_iter": 3}, id="fixedpoint-options1")])
+def test_jacobi_block_matches_each_problem_alone(kernel, options):
+    # an already diagonal problem is solved at once and leaves the block first
     planted = planted_acs([[0.9**k, 0.5**k, 0.1**k] for k in range(1, 11)])
     stacks = [lag_stack(planted)] + [
         lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
                               range(1, 11), centered=True))
         for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800)])]
-    block = jacobi_block(np.stack(stacks), **options)
-    assert block.iterations[0] == 0 and block.converged[0]
+    block = kernel(np.stack(stacks), **options)
+    assert block.converged[0] and block.iterations[0] < block.iterations[1:].min()
     for s, r in enumerate(stacks):
-        alone = jacobi_block(r[None], **options)
+        alone = kernel(r[None], **options)
         for got, want in zip(block, alone):
             np.testing.assert_array_equal(got[s], want[0])
 
@@ -374,6 +411,54 @@ def sequential_jacobi(R, tol=1e-12, max_sweeps=100):
     return U, sweeps, False
 
 
+def sequential_fix_signs(U):
+    """Row-at-a-time sign rule, the reference for _fix_signs."""
+    U = U.copy()
+    for j in range(U.shape[0]):
+        s = U[j].sum()
+        if s < 0:
+            U[j] = -U[j]
+        elif s == 0:
+            nz = np.nonzero(U[j])[0]
+            if nz.size and U[j, nz[0]] < 0:
+                U[j] = -U[j]
+    return U
+
+
+def test_fix_signs_follows_the_row_rule():
+    U = np.array([[[-1.0, 0.5, 0.25, 0.125],   # negative sum
+                   [-1.0, 1.0, 0.0, 0.0],      # zero sum, first nonzero negative
+                   [0.0, -2.0, 0.5, 1.5],      # zero sum behind a leading zero
+                   [0.0, 0.0, 0.0, 0.0]],      # all zero
+                  [[0.0, 2.0, -1.0, -1.0],     # zero sum, first nonzero positive
+                   [1.0, -0.5, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, -3.0],
+                   [0.0, 0.0, 4.0, -4.0]]])
+    want = np.stack([sequential_fix_signs(u) for u in U])
+    np.testing.assert_array_equal(_fix_signs(U), want)
+    np.testing.assert_array_equal(want[0, :3, 0], [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(want[0, 2:, 1], [2.0, 0.0])
+
+
+def sequential_fixedpoint(R, tol=1e-10, max_iter=1000):
+    """One-problem fixed-point loop from lag R[0]'s eigenbasis, the reference for the kernel."""
+    evals, evecs = np.linalg.eigh(R[0])
+    U = sequential_fix_signs(evecs[:, np.argsort(-evals, kind="stable")].T)
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = np.einsum("kab,jb->kja", R, U)
+        tmat = np.einsum("kj,kja->ja", np.einsum("jb,kjb->kj", U, y), y)
+        m = tmat @ tmat.T
+        evals, evecs = np.linalg.eigh((m + m.T) / 2)
+        u_new = (evecs * evals**-0.5) @ evecs.T @ tmat
+        u_new = np.where(np.einsum("ij,ij->i", u_new, U) < 0, -1.0, 1.0)[:, None] * u_new
+        delta = np.max(np.abs(u_new - U))
+        U = u_new
+        if delta < tol:
+            return U, it, True
+    return U, it, False
+
+
 @pytest.mark.parametrize("name,T", [("b", 400), ("b", 4000), ("c", 1000), ("d", 2000)])
 def test_block_kernels_round_like_the_sequential_loops(name, T):
     # model (b) has near-tied sources: one ulp of difference in the batched
@@ -383,11 +468,15 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
                        for s in range(6)])
     defl = deflation_block(stacks, [np.random.default_rng((s, 1)) for s in range(6)])
     jac = jacobi_block(stacks)
+    fp = fixedpoint_block(stacks, 0)
     for s, r in enumerate(stacks):
         rows, iters, conv = sequential_deflation_rows(r, np.random.default_rng((s, 1)))
         u = np.vstack([rows, null_space(rows)[:, 0]])
-        np.testing.assert_array_equal(defl.u[s], _finish(u, r, reorder=False)[0])
+        np.testing.assert_array_equal(defl.u[s], _finish(u[None], r[None], reorder=False)[0][0])
         assert (defl.iterations[s], defl.converged[s]) == (iters, conv)
         u, sweeps, conv = sequential_jacobi(r)
-        np.testing.assert_array_equal(jac.u[s], _finish(u, r)[0])
+        np.testing.assert_array_equal(jac.u[s], _finish(u[None], r[None])[0][0])
         assert (jac.iterations[s], jac.converged[s]) == (sweeps, conv)
+        u, iters, conv = sequential_fixedpoint(r)
+        np.testing.assert_array_equal(fp.u[s], _finish(u[None], r[None])[0][0])
+        assert (fp.iterations[s], fp.converged[s]) == (iters, conv)
