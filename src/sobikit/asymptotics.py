@@ -36,8 +36,11 @@ __all__ = [
 
 _IDENT_TOL = 1e-12
 
-# method of a fit (or a formula name) -> the ASV formulas that describe it
+# method of a fit (or a formula name) -> the ASV formulas that describe it.
+# AMUSE is SOBI on its one lag, where both tables agree; the symmetric one
+# needs AMUSE's lambda_i != lambda_j, the deflation one lambda_i^2 != lambda_j^2.
 _FORMULAS = {
+    "amuse": "symmetric",
     "deflation": "deflation",
     "symmetric": "symmetric",
     "symmetric-fixedpoint": "symmetric",
@@ -319,17 +322,26 @@ def asv_symmetric(model: AsymptoticModel) -> ASVTable:
     return _asv_table(*_exact_terms(model), "symmetric")
 
 
+def _formulas(method: str, lags: tuple[int, ...]) -> str:
+    """The formulas (``_FORMULAS``) that give the ASV of ``method`` on ``lags``."""
+    if method not in _FORMULAS:
+        raise ValueError(f"no ASV for method {method!r}")
+    if method == "amuse" and len(lags) != 1:
+        raise ValueError(f"no ASV for amuse on {len(lags)} lags: it has one lag, tau")
+    return _FORMULAS[method]
+
+
 def asv(model: AsymptoticModel, method: str) -> ASVTable:
     """Exact ASV table of ``method``, a formula or a solver name.
 
     ``"deflation"`` gives ``asv_deflation``; ``"symmetric"`` and both
-    symmetric solvers give ``asv_symmetric``.  Any other method, AMUSE
-    included, raises ``ValueError``: its ASV is not implemented here.
+    symmetric solvers give ``asv_symmetric``, and so does ``"amuse"`` on a
+    model with exactly one lag, tau: AMUSE is SOBI with K = 1, and its limit
+    law (Miettinen, Nordhausen, Oja & Taskinen, Stat. Probab. Lett. 82,
+    2012) is the one-lag table.  Anything else raises ``ValueError``.
     """
-    if method not in _FORMULAS:
-        raise ValueError(f"no ASV for method {method!r}")
     # looked up at call time, so a rebinding of the module names is honoured
-    return globals()[f"asv_{_FORMULAS[method]}"](model)
+    return globals()[f"asv_{_formulas(method, model.lags)}"](model)
 
 
 def global_criterion(table: ASVTable) -> float:
@@ -389,19 +401,16 @@ def empirical_asv(
     O(T log T) per component rather than O(T kmax); the autocorrelations
     then feed the same D_lm kernel as the exact tables.
 
-    ``method`` (default ``result.method``) picks the formulas: deflation,
-    or symmetric for ``"symmetric"`` and both symmetric solvers.  Any other
-    method, AMUSE included, raises ``ValueError``: its ASV is not
-    implemented here.
+    ``method`` (default ``result.method``) picks the formulas as ``asv``
+    does: deflation, or symmetric for ``"symmetric"``, both symmetric
+    solvers and, on exactly one lag, ``"amuse"``.  Any other method raises
+    ``ValueError``.
     """
-    if method is None:
-        method = result.method
-    if method not in _FORMULAS:
-        raise ValueError(f"no plug-in ASV for method {method!r}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
     if not lags or any(k <= 0 for k in lags):
         raise ValueError("lags must be positive and non-empty")
+    formulas = _formulas(result.method if method is None else method, lags)
     if kmax is None:
         kmax = 12 * max(lags)
     p, T = x.shape
@@ -427,4 +436,4 @@ def empirical_asv(
     l0 = np.r_[0, lag_arr]
     # beta_ij = 1 off the diagonal drops the F_l cross term; zeros stand in
     d = _d_tensor(diag_seqs, beta, np.zeros((l0.size, p, p)), l0)
-    return _asv_table(rho[:, lag_arr].T, d, _FORMULAS[method])
+    return _asv_table(rho[:, lag_arr].T, d, formulas)

@@ -13,9 +13,30 @@ from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_
 from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
-_METHODS = ("amuse", "deflation", "symmetric-fixedpoint", "symmetric-jacobi")
-# AMUSE has no implemented ASV, so the Monte Carlo sweep has nothing to set it against
-_BENCHMARK_METHODS = tuple(m for m in _METHODS if m != "amuse")
+# Each --method value: (fit of one AutocovSet by its public solver, solve of the
+# whitened lag stacks R (B, K, p, p) of a block of reps by its block kernel), with
+# the CLI options both take; start indexes the smallest lag.
+_METHODS = {
+    "amuse": (
+        lambda acs, start, a: joint_diag.amuse(acs, acs.lags[start] if a.tau is None else a.tau),
+        lambda R, start, a, reps: joint_diag._amuse_block(R, start)),
+    "deflation": (
+        lambda acs, start, a: joint_diag.sobi_deflation(
+            acs, tol=a.tol, max_iter=a.max_iter, restarts=a.restarts, seed=a.seed),
+        lambda R, start, a, reps: joint_diag.deflation_block(
+            R, [np.random.default_rng((a.seed, rep, 1)) for rep in reps],
+            tol=a.tol, max_iter=a.max_iter, restarts=a.restarts)),
+    "symmetric-fixedpoint": (
+        lambda acs, start, a: joint_diag.sobi_symmetric_fixedpoint(
+            acs, tol=a.tol, max_iter=a.max_iter),
+        lambda R, start, a, reps: joint_diag.fixedpoint_block(
+            R, start, tol=a.tol, max_iter=a.max_iter)),
+    "symmetric-jacobi": (
+        lambda acs, start, a: joint_diag.sobi_symmetric_jacobi(
+            acs, tol=a.jacobi_tol, max_sweeps=a.max_sweeps),
+        lambda R, start, a, reps: joint_diag.jacobi_block(
+            R, tol=a.jacobi_tol, max_sweeps=a.max_sweeps)),
+}
 
 
 def _parse_lags(spec: str) -> tuple[int, ...]:
@@ -49,9 +70,12 @@ def _load_model(path: str | None, preset: str | None):
         return list(presets.benchmark_model(preset)), None, None
     with open(path) as fh:
         doc = json.load(fh)
-    specs = [SourceSpec.from_dict(c) for c in doc["components"]]
-    omega = np.asarray(doc["omega"], dtype=float) if doc.get("omega") is not None else None
-    mu = np.asarray(doc["mu"], dtype=float) if doc.get("mu") is not None else None
+    try:
+        specs = [SourceSpec.from_dict(c) for c in doc["components"]]
+        omega, mu = (None if doc.get(k) is None else np.asarray(doc[k], dtype=float)
+                     for k in ("omega", "mu"))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed model {path}: {type(exc).__name__}: {exc}") from exc
     return specs, omega, mu
 
 
@@ -72,25 +96,9 @@ def _read_series(path: str) -> np.ndarray:
     return data.T
 
 
-def _read_matrix(path: str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def _fit(acs, method, args):
-    if method == "amuse":
-        tau = args.tau if args.tau is not None else min(acs.lags)
-        return joint_diag.amuse(acs, tau)
-    if method == "deflation":
-        return joint_diag.sobi_deflation(
-            acs, tol=args.tol, max_iter=args.max_iter,
-            restarts=args.restarts, seed=args.seed)
-    if method == "symmetric-fixedpoint":
-        return joint_diag.sobi_symmetric_fixedpoint(
-            acs, tol=args.tol, max_iter=args.max_iter)
-    if method == "symmetric-jacobi":
-        return joint_diag.sobi_symmetric_jacobi(
-            acs, tol=args.jacobi_tol, max_sweeps=args.max_sweeps)
-    raise ValueError(f"unknown method {method!r}")
+def _fit(x, lags, args):
+    acs = autocov_set(x, lags, centered=not args.no_center)
+    return _METHODS[args.method][0](acs, joint_diag._start(acs.lags), args)
 
 
 def _exact_model(specs, lags):
@@ -114,8 +122,7 @@ def cmd_separate(args) -> int:
     _check_solver_options(args)
     x = _read_series(args.data)
     lags = _parse_lags(args.lags)
-    acs = autocov_set(x, lags, centered=not args.no_center)
-    result = _fit(acs, args.method, args)
+    result = _fit(x, lags, args)
     z = result.gamma @ (x - x.mean(axis=1, keepdims=True)
                         if not args.no_center else x)
     _write_series(args.output + ".csv", z, args.header)
@@ -129,8 +136,7 @@ def cmd_separate(args) -> int:
         "warnings": list(result.warnings),
     }
     if args.omega:
-        omega = _read_matrix(args.omega)
-        gain = result.gamma @ omega
+        gain = result.gamma @ np.loadtxt(args.omega, delimiter=",", ndmin=2)
         report["mdi"] = metrics.mdi(gain)
         report["amari"] = metrics.amari(gain)
     with open(args.output + ".json", "w") as fh:
@@ -149,10 +155,8 @@ def cmd_asv(args) -> int:
     lines = []
     for method in methods:
         table = asymptotics.asv(model, method)
-        p = table.per_element.shape[0]
-        for j in range(p):
-            for i in range(p):
-                lines.append(f"{method},{j+1},{i+1},{table.per_element[j,i]:.17g}")
+        lines += [f"{method},{j+1},{i+1},{v:.17g}"
+                  for (j, i), v in np.ndenumerate(table.per_element)]
         crit = asymptotics.global_criterion(table)
         lines.append(f"{method},global,,{crit:.17g}")
         print(f"{method},global,{crit:.17g}")
@@ -205,26 +209,17 @@ def _block_lag_matrices(plan, lags, T, reps, seed) -> tuple[np.ndarray, np.ndarr
 def _mc_block(plan, lags, T, reps, methods, args) -> dict[str, list[float]]:
     """T (p-1) mdi^2 of every rep in ``reps`` for every method.
 
-    The whole block is whitened and solved at once; deflation draws rep r's
-    restarts from (args.seed, r, 1).  Every rep gets the result that the
-    public chain simulate_sources -> autocov_set -> solver gives it alone.
+    The whole block is whitened and solved at once, by each method's block
+    kernel.  Every rep gets the result that the public chain
+    simulate_sources -> autocov_set -> solver gives it alone.
     """
     s0, S = _block_lag_matrices(plan, lags, T, reps, args.seed)
     W = autocovariance._whiten(s0)
     R = autocovariance._whitened(W, S)
-    p = s0.shape[-1]
+    p, start = s0.shape[-1], joint_diag._start(lags)
     out = {}
     for method in methods:
-        if method == "deflation":
-            rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
-            us = joint_diag.deflation_block(R, rngs, tol=args.tol, max_iter=args.max_iter,
-                                            restarts=args.restarts).u
-        elif method == "symmetric-jacobi":
-            us = joint_diag.jacobi_block(R, tol=args.jacobi_tol,
-                                         max_sweeps=args.max_sweeps).u
-        else:
-            us = joint_diag.fixedpoint_block(R, lags.index(min(lags)), tol=args.tol,
-                                             max_iter=args.max_iter).u
+        us = _METHODS[method][1](R, start, args, reps).u
         out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, W)]
     return out
 
@@ -242,9 +237,8 @@ def cmd_benchmark(args) -> int:
         raise ValueError("T must be at least 2")
     methods = [m.strip() for m in args.methods.split(",")]
     for method in methods:
-        if method not in _BENCHMARK_METHODS:
-            raise ValueError(f"--methods: {method!r} is not one of "
-                             f"{', '.join(_BENCHMARK_METHODS)}")
+        if method not in _METHODS:
+            raise ValueError(f"--methods: {method!r} is not one of {', '.join(_METHODS)}")
 
     expected = {}
     model = _exact_model(specs, lags)
@@ -264,18 +258,16 @@ def cmd_benchmark(args) -> int:
     else:
         results = [_mc_block(*task) for task in tasks]
 
-    rows = []
+    lines = ["T,method,reps,average,expected"]
     for i, T in enumerate(t_values):
         parts = results[i * len(blocks):(i + 1) * len(blocks)]
         for method in methods:
             avg = float(np.mean([v for part in parts for v in part[method]]))
-            rows.append((T, method, args.reps, avg, expected[method]))
-            print(f"{T},{method},{args.reps},{avg:.17g},{expected[method]:.17g}")
+            lines.append(f"{T},{method},{args.reps},{avg:.17g},{expected[method]:.17g}")
+            print(lines[-1])
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write("T,method,reps,average,expected\n")
-            for r in rows:
-                fh.write(f"{r[0]},{r[1]},{r[2]},{r[3]:.17g},{r[4]:.17g}\n")
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -292,8 +284,7 @@ def cmd_lagselect(args) -> int:
     rows_sel = np.asarray(rows) - 1
     scored = []
     for lags in lag_sets:
-        acs = autocov_set(x, lags, centered=not args.no_center)
-        result = _fit(acs, args.method, args)
+        result = _fit(x, lags, args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=args.kmax)
         score = float(table.row_sums()[rows_sel].sum())
         scored.append((score, lags))

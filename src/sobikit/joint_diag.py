@@ -113,12 +113,19 @@ def _finish(U, R, reorder=True):
     return _fix_signs(U), crit.sum(axis=-1)
 
 
-def _eigen_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of symmetric r (..., p, p), decreasing, and their eigenvectors as rows."""
-    evals, evecs = np.linalg.eigh(r)
+def _start(lags) -> int:
+    """Index of the smallest lag: AMUSE's default lag, and the fixed point's start."""
+    return lags.index(min(lags))
+
+
+def _amuse_block(R: np.ndarray, start: int) -> BlockFit:
+    """AMUSE on B whitened lag stacks R (B, K, p, p): each problem's rows are the
+    signed eigenvectors of its R[:, start], by decreasing eigenvalue."""
+    evals, evecs = np.linalg.eigh(R[:, start])
     idx = np.argsort(-evals, axis=-1, kind="stable")
     # gathered as C-contiguous rows: _tmap_rows' einsums round differently on an F-ordered U
-    return np.take_along_axis(evals, idx, -1), np.take_along_axis(evecs.mT, idx[..., None], -2)
+    U, objective = _finish(np.take_along_axis(evecs.mT, idx[..., None], -2), R, reorder=False)
+    return BlockFit(U, objective, np.zeros(len(R), dtype=int), np.ones(len(R), dtype=bool))
 
 
 def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
@@ -145,21 +152,13 @@ def amuse(acs: AutocovSet, tau: int) -> UnmixingResult:
     """
     if tau not in acs.lags:
         raise ValueError(f"tau = {tau} not among the computed lags")
-    spectra = []
-
-    def solve(R):
-        evals, U = _eigen_rows(R[:, acs.lags.index(tau)])
-        spectra.append(evals[0])
-        U = _fix_signs(U)
-        return BlockFit(U, _criterion_rows(U, R).sum(axis=-1), [0], [True])
-
-    result = _unmix(acs, "amuse", solve)
-    (evals,) = spectra
-    if len(evals) > 1:
-        spread = float(evals[0] - evals[-1])
-        if np.min(-np.diff(evals)) < 1e-10 * max(spread, np.finfo(float).tiny):
-            _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=2)
-            result = dataclasses.replace(result, warnings=("eigenvalue tie",))
+    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, acs.lags.index(tau)))
+    # the eigenvalues of R_tau, row by row: gamma S_tau gamma' = U R_tau U'
+    evals = np.einsum("ja,ab,jb->j", result.gamma, acs.lagged[tau], result.gamma)
+    spread = float(evals[0] - evals[-1])
+    if np.any(-np.diff(evals) < 1e-10 * max(spread, np.finfo(float).tiny)):
+        _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=2)
+        result = dataclasses.replace(result, warnings=("eigenvalue tie",))
     return result
 
 
@@ -280,7 +279,7 @@ def sobi_symmetric_fixedpoint(
     max |U_new - U_old| < tol.
     """
     return _unmix(acs, "symmetric-fixedpoint", lambda R: fixedpoint_block(
-        R, acs.lags.index(min(acs.lags)), tol=tol, max_iter=max_iter))
+        R, _start(acs.lags), tol=tol, max_iter=max_iter))
 
 
 def fixedpoint_block(
@@ -291,13 +290,12 @@ def fixedpoint_block(
 ) -> BlockFit:
     """Symmetric fixed-point SOBI on B whitened lag stacks R of shape (B, K, p, p).
 
-    Each problem starts from the AMUSE fit of its lag matrix R[:, start]
-    (signed eigenvector rows, by decreasing eigenvalue).  Live problems
-    iterate together; one leaves after the first iteration whose
+    Each problem starts from its AMUSE fit on lag R[:, start] (``_amuse_block``).
+    Live problems iterate together; one leaves after the first iteration whose
     max |U_new - U_old| is below ``tol`` (converged), which ``iterations``
     counts.  A problem's result does not depend on the block it is in.
     """
-    U = _fix_signs(_eigen_rows(R[:, start])[1])
+    U = _amuse_block(R, start).u
     live, Ra = np.arange(len(R)), R
     out = np.empty_like(U)
     iterations = np.full(len(R), max(max_iter, 0))

@@ -178,6 +178,18 @@ def test_diagonal_entries_agree_between_methods():
                                    atol=1e-14)
 
 
+def test_one_lag_tables_agree_and_are_amuse_tables():
+    # with one lag, AMUSE, deflation-based and symmetric SOBI are one estimator
+    for name in ("a", "c", "d"):
+        for k in (1, 2, 3):
+            model = build_model(sorted_expansions(name), (k,))
+            sym = asv_symmetric(model).per_element
+            np.testing.assert_allclose(asv_deflation(model).per_element, sym, rtol=1e-14)
+            np.testing.assert_array_equal(asv(model, "amuse").per_element, sym)
+    with pytest.raises(ValueError, match="tau"):
+        asv(build_model(sorted_expansions("c"), (1, 2)), "amuse")
+
+
 def test_single_component_table():
     exps = [expand_to_ma(SourceSpec("ar", ar=(0.6,)))]
     model = build_model(exps, LAGS)
@@ -378,11 +390,13 @@ def test_empirical_asv_validation():
         empirical_asv(x, res, ())
     with pytest.raises(ValueError, match="horizon too small"):
         empirical_asv(x, res, (50,), kmax=10)
-    for method in ("amuse", "jade"):
-        with pytest.raises(ValueError, match="no plug-in ASV"):
-            empirical_asv(x, res, (1,), method=method)
-    with pytest.raises(ValueError, match="no plug-in ASV"):
-        empirical_asv(x, dataclasses.replace(res, method="amuse"), (1,))
+    with pytest.raises(ValueError, match="no ASV for method 'jade'"):
+        empirical_asv(x, res, (1,), method="jade")
+    # amuse is scored on its one lag only, with the symmetric formulas
+    with pytest.raises(ValueError, match="tau"):
+        empirical_asv(x, dataclasses.replace(res, method="amuse"), (1, 2))
+    np.testing.assert_array_equal(empirical_asv(x, res, (1,), method="amuse").per_element,
+                                  empirical_asv(x, res, (1,)).per_element)
 
 
 def test_asv_table_row_sums():

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sobikit import cli
+from sobikit.asymptotics import asv, global_criterion
 from sobikit.autocovariance import autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
 from sobikit.joint_diag import (
+    BlockFit,
+    amuse,
     sobi_deflation,
     sobi_symmetric_fixedpoint,
     sobi_symmetric_jacobi,
@@ -185,6 +192,61 @@ def test_asv_requires_one_model_source(tmp_path, capsys):
     assert "error:" in err
 
 
+MALFORMED_MODELS = {
+    "no-components": {"comps": []},
+    "no-kind": {"components": [{"ar": [0.5]}]},
+    "list": [1, 2],
+    "components-number": {"components": 5},
+    "component-null": {"components": [None]},
+    "ar-number": {"components": [{"kind": "ar", "ar": 5}]},
+    "ar-nested": {"components": [{"kind": "ar", "ar": [[1]]}]},
+    "psi-number": {"components": [{"kind": "psi", "psi": 3}]},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "asv", "benchmark"])
+@pytest.mark.parametrize("doc", MALFORMED_MODELS)
+def test_malformed_model_is_one_error_line(tmp_path, doc, command, capsys):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(MALFORMED_MODELS[doc]))
+    argv = {"simulate": ["--T", "100", "--output", str(tmp_path / "z.csv")],
+            "asv": ["--lags", "1"],
+            "benchmark": ["--lags", "1", "--T-values", "300", "--reps", "1"]}[command]
+    assert main([command, "--model", str(model), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: malformed model ")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=10)
+# mostly well-formed components, so that the numerical layers are reached too
+COEFFICIENTS = st.lists(st.floats(-1, 1) | st.floats() | st.integers(), max_size=3) | JSON
+COMPONENT = st.fixed_dictionaries({"kind": st.sampled_from(["ar", "ma", "arma", "psi"])},
+                                  optional={"ar": COEFFICIENTS, "ma": COEFFICIENTS,
+                                            "psi": COEFFICIENTS}) | JSON
+
+
+@given(doc=JSON | st.fixed_dictionaries({"components": st.lists(COMPONENT, max_size=3) | JSON},
+                                        optional={"omega": JSON, "mu": JSON}))
+@settings(max_examples=100, deadline=None)
+def test_asv_model_fuzz_exits_cleanly(tmp_path_factory, doc):
+    model = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
+    model.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["asv", "--model", str(model), "--lags", "1"])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_benchmark_single_replication(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["benchmark", "--preset", "d", "--lags", "1-10",
@@ -228,8 +290,7 @@ def test_benchmark_rejects_nonpositive_counts(option, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("methods", ["symetric-jacobi", "amuse",
-                                     "deflation,symmetric-jacobi,amuse"])
+@pytest.mark.parametrize("methods", ["symetric-jacobi"])
 def test_benchmark_rejects_unknown_methods(methods, capsys):
     assert main(["benchmark", "--preset", "d", "--lags", "1-10",
                  "--reps", "1", "--T-values", "300", "--methods", methods]) == 1
@@ -239,23 +300,73 @@ def test_benchmark_rejects_unknown_methods(methods, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_benchmark_amuse_on_many_lags_has_no_exact_asv(capsys):
+    # AMUSE's ASV is the one-lag table; on ten lags it runs with no expected value
+    assert main(["benchmark", "--preset", "d", "--lags", "1-10",
+                 "--reps", "1", "--T-values", "300", "--methods", "amuse"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("300,amuse,1,")
+    assert captured.out.strip().endswith(",nan")
+    (warning,) = captured.err.splitlines()
+    assert warning.startswith("warning: amuse: no exact ASV (") and warning.endswith(")")
+    assert "tau" in warning
+
+
+def test_every_method_has_a_kernel_and_a_one_lag_asv():
+    # --methods is checked against the same table that --method takes as choices
+    parser = cli.build_parser()
+    for argv in (["separate", "--data", "x.csv", "--lags", "1", "--output", "o"],
+                 ["lagselect", "--data", "x.csv", "--lag-sets", "1;2"]):
+        for name in cli._METHODS:
+            assert parser.parse_args(argv + ["--method", name]).method == name
+    args = parser.parse_args(["benchmark", "--preset", "d", "--lags", "1",
+                              "--T-values", "300"])
+    lags, reps = (3, 1, 2), range(4, 6)
+    acs = [autocov_set(simulate_sources(benchmark_model("d"), 600, rep), lags) for rep in reps]
+    R = np.stack([np.stack(autocorrelations(a)) for a in acs])
+    model = cli._exact_model(benchmark_model("d"), (1,))
+    fits = {name: cli._METHODS[name][1](R, cli.joint_diag._start(lags), args, reps)
+            for name in cli._METHODS}
+    for name, fit in fits.items():
+        assert isinstance(fit, BlockFit) and fit.u.shape == (2, 3, 3)
+        assert np.all(fit.converged)
+        assert np.isfinite(global_criterion(asv(model, name)))
+    # the smallest lag, 1, is the one amuse diagonalizes, though it is listed second
+    for b, a in enumerate(acs):
+        np.testing.assert_array_equal(fits["amuse"].u[b], amuse(a, 1).u)
+
+
+@pytest.mark.parametrize("preset", ["c", "d"])
+def test_benchmark_amuse_average_meets_its_exact_limit(preset):
+    # seed fixed in advance at the CLI default; 1000 reps at T = 4000, and
+    # the mean must lie within 4 standard errors of the one-lag limit
+    specs = benchmark_model(preset)
+    args = cli.build_parser().parse_args(["benchmark", "--preset", preset, "--lags", "1",
+                                          "--T-values", "4000"])
+    vals = cli._mc_block(_plan_sources(specs), (1,), 4000, range(1000), ["amuse"], args)
+    vals = np.asarray(vals["amuse"])
+    exact = global_criterion(asv(cli._exact_model(specs, (1,)), "amuse"))
+    assert abs(vals.mean() - exact) < 4 * vals.std(ddof=1) / np.sqrt(vals.size)
+
+
 def test_benchmark_averages_follow_the_public_chain(capsys):
     # 300 reps take two rep blocks; each average must equal, bit for bit,
     # the mean over reps of the documented per-rep chain and seeds
     seed, T, reps = 11, 300, 300
     assert main(["benchmark", "--preset", "b", "--lags", "1-10",
                  "--reps", str(reps), "--T-values", str(T),
-                 "--methods", "deflation,symmetric-jacobi",
+                 "--methods", "deflation,symmetric-jacobi,amuse",
                  "--seed", str(seed)]) == 0
     printed = {line.split(",")[1]: float(line.split(",")[3])
                for line in capsys.readouterr().out.strip().splitlines()}
     specs = benchmark_model("b")
-    vals = {"deflation": [], "symmetric-jacobi": []}
+    vals = {"deflation": [], "symmetric-jacobi": [], "amuse": []}
     for rep in range(reps):
         acs = autocov_set(simulate_sources(specs, T, (seed, rep)), range(1, 11),
                           centered=True)
         fits = {"deflation": sobi_deflation(acs, seed=(seed, rep, 1)),
-                "symmetric-jacobi": sobi_symmetric_jacobi(acs)}
+                "symmetric-jacobi": sobi_symmetric_jacobi(acs),
+                "amuse": amuse(acs, 1)}
         for method, res in fits.items():
             vals[method].append(T * 2 * mdi(res.gamma) ** 2)
     assert printed == {m: float(np.mean(v)) for m, v in vals.items()}
@@ -341,6 +452,21 @@ def test_lagselect_rejects_method_without_asv(dataset, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_lagselect_ranks_one_lag_sets_for_amuse(dataset, capsys):
+    assert main(["lagselect", "--data", dataset, "--lag-sets", "1;2;3",
+                 "--method", "amuse"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
+    assert [r[0] for r in rows] == ["1", "2", "3"]
+    assert sorted(r[1] for r in rows) == ["1", "2", "3"]
+    scores = [float(r[2]) for r in rows]
+    assert all(np.isfinite(scores)) and scores == sorted(scores)
+    # one lag: the symmetric solver fits the same matrix and scores the same
+    assert main(["lagselect", "--data", dataset, "--lag-sets", "1;2;3"]) == 0
+    jacobi = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()]
+    assert [r[1] for r in jacobi] == [r[1] for r in rows]
+    np.testing.assert_allclose([float(r[2]) for r in jacobi], scores, rtol=1e-9)
 
 
 def test_lagselect_identical_sets_tie(dataset, capsys):
