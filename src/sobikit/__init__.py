@@ -20,7 +20,6 @@ from .asymptotics import (
     asv_deflation,
     asv_symmetric,
     build_model,
-    dlm,
     empirical_asv,
     global_criterion,
     transform_general_mixing,
@@ -66,7 +65,6 @@ __all__ = [
     "autocov_set",
     "benchmark_model",
     "build_model",
-    "dlm",
     "empirical_asv",
     "estimating_residual",
     "expand_to_ma",

@@ -5,8 +5,9 @@ MA(inf) weight sequence: the cross-product matrices F_k vanish beyond the
 weight support, so the nominally infinite sums in the covariance building
 blocks D_lm collapse to finite ones.  The per-element asymptotic variances
 (ASVs) of both SOBI estimators follow as rational expressions in the source
-autocovariances lambda_kj and D_lm entries, and their off-diagonal sum is
-the efficiency criterion used to compare estimators and lag sets.
+autocovariances lambda_kj and D_lm entries, which ``build_model`` computes
+once per model, and their off-diagonal sum is the efficiency criterion used
+to compare estimators and lag sets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "AsymptoticModel",
     "ASVTable",
     "build_model",
-    "dlm",
     "vlm",
     "asv",
     "asv_deflation",
@@ -59,28 +59,28 @@ class AsymptoticModel:
     ----------
     expansions : tuple of MAExpansion
         Unit-variance weight sequences, one per component.
-    kmax : int
-        Horizon: F_k is stored for 0 <= k <= kmax and is exactly zero there
-        beyond the weight support.
     beta : ndarray
         Fourth-moment parameters of the innovations, beta[i, i] =
         E(eps_i^4) and beta[i, j] = E(eps_i^2 eps_j^2).
     lags : tuple of int
         The analysis lags entering the estimators.
-    f : dict
-        Map k >= 0 -> F_k with (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}.
-    diag_seqs : ndarray
-        (p, 2 kmax + 1): row i holds lambda_k = (F_k)_ii at column kmax + k.
+    lam : ndarray
+        (K, p): lam[a, i] is lambda_k = (F_k)_ii of component i at k =
+        lags[a], where (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}.
+    d : ndarray
+        (K + 1, K + 1, p, p): d[a, b] is D_lm at l, m = positions a, b of
+        (0,) + lags.  Entry (i, j) of D_lm is the limiting covariance of
+        the (i, j) elements of sqrt(T) times the symmetrized sample
+        autocovariances at lags l and m.
     order : tuple of int
         Row r is the component listed at position order[r].
     """
 
     expansions: tuple[MAExpansion, ...]
-    kmax: int
     beta: np.ndarray
     lags: tuple[int, ...]
-    f: dict
-    diag_seqs: np.ndarray
+    lam: np.ndarray
+    d: np.ndarray
     order: tuple[int, ...]
 
     @property
@@ -112,21 +112,25 @@ class ASVTable:
         return self.per_element.sum(axis=1)
 
 
+def _normal_beta(p: int) -> np.ndarray:
+    """beta of independent standard normal innovations: 3 on the diagonal, 1 off it."""
+    return np.eye(p) * 2.0 + 1.0
+
+
 def build_model(
     expansions: Sequence[MAExpansion],
     lags: Sequence[int],
     beta: np.ndarray | None = None,
-    kmax: int | None = None,
 ) -> AsymptoticModel:
-    """Assemble F_k, lambda_kj and fourth-moment data for ASV evaluation.
+    """Assemble lambda_kj and every D_lm that the ASV formulas read.
 
     Components, and ``beta`` given in listed order, are sorted into the
     order the deflation estimator extracts them: decreasing sum over
     ``lags`` of lambda_k^2, ties kept in listed order; the permutation is
-    kept as ``order``.  ``kmax`` defaults to max(lags) + the longest weight
-    support, which makes every D_lm sum exact; a smaller explicit horizon
-    is rejected.  ``beta`` defaults to independent normal innovations
-    (diagonal 3, off-diagonal 1).
+    kept as ``order``.  F_k is formed for k below the longest weight
+    support and is zero from there on, so every D_lm sum is exact on the
+    horizon max(lags) + that support.  ``beta`` defaults to independent
+    normal innovations (diagonal 3, off-diagonal 1).
     """
     expansions = tuple(expansions)
     p = len(expansions)
@@ -138,16 +142,8 @@ def build_model(
     if len(set(lags)) != len(lags):
         raise ValueError("duplicate lags")
     support = max(e.psi.size for e in expansions)
-    needed = (max(lags) if lags else 0) + support
-    if kmax is None:
-        kmax = needed
-    elif kmax < needed:
-        raise ValueError("horizon too small")
 
-    if beta is None:
-        beta = np.ones((p, p))
-        np.fill_diagonal(beta, 3.0)
-    beta = np.asarray(beta, dtype=float)
+    beta = _normal_beta(p) if beta is None else np.asarray(beta, dtype=float)
     if beta.shape != (p, p):
         raise ValueError("beta must be p x p")
     if np.max(np.abs(beta - beta.T)) > 1e-12:
@@ -164,33 +160,38 @@ def build_model(
     padded = padded[order]
     beta = beta[np.ix_(order, order)]
 
-    f = {k: padded[:, : support - k] @ padded[:, k:].T if k < support
-         else np.zeros((p, p)) for k in range(kmax + 1)}
+    f = np.stack([padded[:, : support - k] @ padded[:, k:].T for k in range(support)])
     if np.max(np.abs(np.diag(f[0]) - 1.0)) > 1e-12:
         raise ValueError("expansions are not unit variance")
 
-    lam = np.stack([np.diag(f[k]) for k in range(kmax + 1)], axis=1)
+    seqs = np.zeros((p, max(lags, default=0) + support + 1))
+    seqs[:, :support] = np.diagonal(f, axis1=1, axis2=2).T
+    lam, d = _d_tensor(seqs, lags, beta, f)
     return AsymptoticModel(
-        expansions=tuple(expansions[i] for i in order), kmax=kmax, beta=beta,
-        lags=lags, f=f, diag_seqs=np.concatenate([lam[:, :0:-1], lam], axis=1),
-        order=tuple(order.tolist()),
+        expansions=tuple(expansions[i] for i in order), beta=beta, lags=lags,
+        lam=lam, d=d, order=tuple(order.tolist()),
     )
 
 
-def _d_tensor(diag_seqs: np.ndarray, beta: np.ndarray, fsym: np.ndarray,
-              lags: np.ndarray) -> np.ndarray:
-    """All D_lm over a lag list at once: D[a, b] = D_{lags[a], lags[b]}.
+def _d_tensor(seqs: np.ndarray, lags, beta: np.ndarray,
+              f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda rows (lag x component) and every D_lm over (0,) + lags.
 
+    ``seqs`` (p, n) holds each component's lambda_k for 0 <= k < n, zero
+    beyond, and ``f`` stacks F_0, F_1, ..., zero beyond its length.  In
+    the returned D, D[a, b] = D_lm at l, m = positions a, b of (0,) + lags.
     Every entry comes from the cross-products c_ij(s) = sum_k rho_i(k)
-    rho_j(k + s) of the even sequences in ``diag_seqs``, one matmul per
-    distinct shift s in {|m - l|, m + l} (evenness gives c(-s) = c(s)).
-    Off-diagonal entries are (c(|m - l|) + c(m + l)) / 2 plus
-    (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij, with ``fsym[a]`` =
-    F_l + F_l' at l = lags[a]; diagonal entries are c_ii(|m - l|) +
-    c_ii(m + l) + (beta_ii - 3) lambda_l lambda_m.
+    rho_j(k + s) over all integers k of the even extensions of ``seqs``,
+    one matmul per distinct shift s in {|m - l|, m + l} (evenness gives
+    c(-s) = c(s)).  Off-diagonal entries are (c(|m - l|) + c(m + l)) / 2
+    plus (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij; diagonal
+    entries are c_ii(|m - l|) + c_ii(m + l) + (beta_ii - 3) lambda_l
+    lambda_m.
     """
+    lags = np.r_[0, np.asarray(lags, dtype=int)]
+    lam = seqs[:, lags].T
+    diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
     p, n = diag_seqs.shape
-    kmax = (n - 1) // 2
     size = lags.size
     shifts = np.concatenate([np.abs(lags[:, None] - lags[None, :]),
                              lags[:, None] + lags[None, :]]).ravel()
@@ -200,57 +201,35 @@ def _d_tensor(diag_seqs: np.ndarray, beta: np.ndarray, fsym: np.ndarray,
     d = c[where[0]]
     d += c[where[1]]
     idx = np.arange(p)
-    lam = diag_seqs[:, kmax + lags].T
     diag = d[:, :, idx, idx] + (np.diag(beta) - 3.0) * lam[:, None] * lam[None, :]
     q = 0.25 * (beta - 1.0)
     np.fill_diagonal(q, 0.0)
+    fl = np.zeros((size, p, p))
+    inside = lags < len(f)
+    fl[inside] = f[lags[inside]]
+    fsym = fl + fl.transpose(0, 2, 1)
     d *= 0.5
     d += q * (fsym[:, None] * fsym[None, :])
     d[:, :, idx, idx] = diag
-    return d
-
-
-def _model_tensor(model: AsymptoticModel, lags) -> np.ndarray:
-    lags = np.asarray(lags, dtype=int)
-    fsym = np.stack([model.f[k] + model.f[k].T for k in lags])
-    return _d_tensor(model.diag_seqs, model.beta, fsym, lags)
-
-
-def dlm(model: AsymptoticModel, l: int, m: int) -> np.ndarray:
-    """Limiting covariance of sqrt(T) (S_l)_ij with sqrt(T) (S_m)_ij.
-
-    Entry (i, j) of the returned matrix is the limiting covariance of the
-    (i, j) elements of the symmetrized sample autocovariances at lags l and
-    m.  Diagonal entries carry the within-component fourth moment, edge
-    off-diagonal ones the cross-component term weighted by beta_ij - 1.
-    This is one slice of the kernel the ASV tables use, which builds every
-    D_lm over the analysis lags from cross-products of the autocovariance
-    sequences.
-    """
-    maxlag = max(model.lags) if model.lags else 0
-    if not (0 <= l <= maxlag and 0 <= m <= maxlag):
-        raise ValueError("horizon too small")
-    return _model_tensor(model, (l, m))[0, 1]
+    return lam[1:], d
 
 
 def vlm(d: np.ndarray) -> np.ndarray:
     """Full covariance of vec(S_l) with vec(S_m) from its element matrix.
 
     Returns diag(vec(d)) (K_pp - D_pp + I_{p^2}) with K_pp the commutation
-    matrix and D_pp the diagonal-selector, using column-major vec.
+    matrix and D_pp the diagonal-selector, using column-major vec: that is
+    diag(vec(d)) with vec(d) also written at the commuted positions.
     """
     d = np.atleast_2d(np.asarray(d, dtype=float))
     p = d.shape[0]
     if d.shape != (p, p):
         raise ValueError("d must be square")
-    n = p * p
-    k_pp = np.zeros((n, n))
-    d_pp = np.zeros((n, n))
-    for i in range(p):
-        for j in range(p):
-            k_pp[i + j * p, j + i * p] = 1.0
-        d_pp[i + i * p, i + i * p] = 1.0
-    return np.diag(d.flatten(order="F")) @ (k_pp - d_pp + np.eye(n))
+    v = d.flatten(order="F")
+    out = np.diag(v)
+    r = np.arange(p * p)
+    out[r, (r % p) * p + r // p] = v  # vec(d)[i + j p] to column j + i p
+    return out
 
 
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
@@ -294,13 +273,6 @@ def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
     return ASVTable(per_element=out, method=method)
 
 
-def _exact_terms(model: AsymptoticModel) -> tuple[np.ndarray, np.ndarray]:
-    """lambda rows (lag x component) and D over (0,) + lags of a model."""
-    lags = np.asarray(model.lags, dtype=int)
-    lam = model.diag_seqs[:, model.kmax + lags].T
-    return lam, _model_tensor(model, np.r_[0, lags])
-
-
 def asv_deflation(model: AsymptoticModel) -> ASVTable:
     """Per-element limiting variances of the deflation-based estimator.
 
@@ -310,7 +282,7 @@ def asv_deflation(model: AsymptoticModel) -> ASVTable:
     off-diagonal entries follow the two rational expressions (extraction
     row before or after the interfering component) in lambda, mu and D_lm.
     """
-    return _asv_table(*_exact_terms(model), "deflation")
+    return _asv_table(model.lam, model.d, "deflation")
 
 
 def asv_symmetric(model: AsymptoticModel) -> ASVTable:
@@ -319,7 +291,7 @@ def asv_symmetric(model: AsymptoticModel) -> ASVTable:
     Requires pairwise identifiability: every pair of components must have
     distinct autocovariance profiles over the analysis lags.
     """
-    return _asv_table(*_exact_terms(model), "symmetric")
+    return _asv_table(model.lam, model.d, "symmetric")
 
 
 def _formulas(method: str, lags: tuple[int, ...]) -> str:
@@ -428,12 +400,5 @@ def empirical_asv(
         acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
         rho[i] = (acov / divisor) / (acov[0] / T)
     rho[:, 0] = 1.0
-    diag_seqs = np.concatenate([rho[:, :0:-1], rho], axis=1)
-
-    beta = np.ones((p, p))
-    np.fill_diagonal(beta, 3.0)
-    lag_arr = np.asarray(lags)
-    l0 = np.r_[0, lag_arr]
-    # beta_ij = 1 off the diagonal drops the F_l cross term; zeros stand in
-    d = _d_tensor(diag_seqs, beta, np.zeros((l0.size, p, p)), l0)
-    return _asv_table(rho[:, lag_arr].T, d, formulas)
+    # beta_ij = 1 off the diagonal drops the F_l cross term: no F_k is needed
+    return _asv_table(*_d_tensor(rho, lags, _normal_beta(p), np.zeros((0, p, p))), formulas)

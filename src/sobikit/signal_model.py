@@ -62,6 +62,9 @@ class SourceSpec:
     def validate(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
+        for name in ("ar", "ma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} coefficients must be finite")
         if self.kind == "psi":
             if self.psi is None or len(self.psi) == 0:
                 raise ValueError("psi kind requires a non-empty psi sequence")
@@ -110,7 +113,7 @@ class MAExpansion:
 
     def __post_init__(self):
         total = float(np.sum(self.psi**2))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # also fails on nan
             raise ValueError("psi weights are not normalized to unit variance")
 
 
@@ -144,21 +147,36 @@ def _check_causal(ar: Sequence[float]):
         raise ValueError("not causal")
 
 
-def _expand_raw(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
-    """Unnormalized psi weights, truncated to relative tail mass below tol."""
+def _squares(w: np.ndarray) -> tuple[np.ndarray, float]:
+    """w**2 and its sum, raising ValueError where the sum leaves the float range."""
+    with np.errstate(over="ignore"):
+        sq = w**2
+        total = sq.sum()
+    if not np.isfinite(total):
+        raise ValueError("psi weights overflow: the sum of their squares is not finite")
+    if total == 0.0:
+        raise ValueError("psi weights underflow: the sum of their squares is zero")
+    return sq, total
+
+
+def _expand_raw(spec: SourceSpec, tol: float, max_len: int) -> tuple[np.ndarray, float]:
+    """Unnormalized psi weights, truncated to relative tail mass below tol,
+    and the root of the sum of their squares."""
     if spec.kind == "psi":
         raw = np.asarray(spec.psi, dtype=float)
-        if raw.size > max_len:
-            raise ValueError("truncation overflow")
-        return raw
-    if spec.kind == "ma" or (spec.kind == "arma" and len(spec.ar) == 0):
+    elif spec.kind == "ma" or (spec.kind == "arma" and len(spec.ar) == 0):
         raw = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
-        if raw.size > max_len:
-            raise ValueError("truncation overflow")
-        return raw
-    if spec.kind == "ar" and len(spec.ar) == 0:
-        return np.array([1.0])
+    elif spec.kind == "ar" and len(spec.ar) == 0:
+        raw = np.array([1.0])
+    else:
+        raw = _expand_filter(spec, tol, max_len)
+    if raw.size > max_len:
+        raise ValueError("truncation overflow")
+    return raw, np.sqrt(_squares(raw)[1])
 
+
+def _expand_filter(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
+    """Impulse response of an AR or ARMA spec, truncated as ``_expand_raw`` says."""
     b = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
     a = np.r_[1.0, -np.asarray(spec.ar, dtype=float)]
     n = max(256, b.size)
@@ -166,14 +184,13 @@ def _expand_raw(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
         impulse = np.zeros(n)
         impulse[0] = 1.0
         psi = lfilter(b, a, impulse)
-        sq = psi**2
-        total = sq.sum()
+        sq, total = _squares(psi)
         # tail(N) = mass strictly beyond index N within the buffer, summed
         # from the small end so values far below eps*total stay resolvable;
         # the buffer is long enough once its last tenth holds so little mass
         # that anything beyond it cannot disturb a tol-level truncation
         tail = np.r_[np.cumsum(sq[::-1])[::-1][1:], 0.0]
-        if total > 0 and tail[(9 * n) // 10] < 1e-4 * tol * total:
+        if tail[(9 * n) // 10] < 1e-4 * tol * total:
             hits = np.nonzero(tail < tol * total)[0]
             n_keep = hits[0] + 1
             if n_keep > max_len:
@@ -209,8 +226,7 @@ def expand_to_ma(
         raise ValueError("tol must be positive")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    raw = _expand_raw(spec, tol, max_len)
-    norm = np.sqrt(np.sum(raw**2))
+    raw, norm = _expand_raw(spec, tol, max_len)
     return MAExpansion(psi=raw / norm, truncation_tol=tol,
                        component_index=component_index)
 
@@ -239,8 +255,7 @@ def _plan_sources(specs, burn_in=2000, tol=1e-12, max_len=10**5) -> _SourcePlan:
         raise ValueError("at least one source spec is required")
     parts = []  # (warm-up columns, then the _Component fields after ``start``)
     for s in specs:
-        raw = _expand_raw(s, tol, max_len)
-        norm = np.sqrt(np.sum(raw**2))
+        raw, norm = _expand_raw(s, tol, max_len)
         if s.kind in ("ar", "arma") and len(s.ar) > 0:
             b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
             a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]

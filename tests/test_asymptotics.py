@@ -4,12 +4,12 @@ import functools
 import numpy as np
 import pytest
 
+from sobikit import asymptotics
 from sobikit.asymptotics import (
     asv,
     asv_deflation,
     asv_symmetric,
     build_model,
-    dlm,
     empirical_asv,
     global_criterion,
     transform_general_mixing,
@@ -56,32 +56,21 @@ def test_ar1_lambdas_are_powers():
     exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-30)
             for phi in (0.6, 0.4, 0.2)]
     model = build_model(exps, LAGS)
-    for k in range(11):
-        np.testing.assert_allclose(
-            model.diag_seqs[:, model.kmax + k], [0.6**k, 0.4**k, 0.2**k], atol=1e-12)
+    np.testing.assert_allclose(model.lam, [[0.6**k, 0.4**k, 0.2**k] for k in LAGS],
+                               atol=1e-12)
 
 
 def test_ma_lambdas_match_direct_weight_products():
     exps = sorted_expansions("a")
     model = build_model(exps, LAGS)
-    for k in LAGS:
+    for a, k in enumerate(LAGS):
         direct = [float(np.dot(e.psi[:-k], e.psi[k:])) if k < e.psi.size else 0.0
                   for e in exps]
-        np.testing.assert_allclose(model.diag_seqs[:, model.kmax + k], direct,
-                                   atol=1e-13)
-
-
-def test_f_matrices_support():
-    exps = sorted_expansions("a")
-    model = build_model(exps, (1, 2, 3))
-    support = max(e.psi.size for e in exps)
-    assert sorted(model.f) == list(range(model.kmax + 1))
-    for k in range(support, model.kmax + 1):
-        np.testing.assert_array_equal(model.f[k], np.zeros((3, 3)))
+        np.testing.assert_allclose(model.lam[a], direct, atol=1e-13)
 
 
 def test_white_noise_d00():
-    d00 = dlm(white_model(2), 0, 0)
+    d00 = white_model(2).d[0, 0]
     np.testing.assert_allclose(d00, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
@@ -89,30 +78,39 @@ def test_non_normal_kurtosis_shifts_diagonal_only():
     beta = np.array([[5.0, 1.0], [1.0, 5.0]])
     m_norm = white_model(2)
     m_heavy = build_model(m_norm.expansions, m_norm.lags, beta=beta)
-    d_norm = dlm(m_norm, 0, 0)
-    d_heavy = dlm(m_heavy, 0, 0)
+    d_norm = m_norm.d[0, 0]
+    d_heavy = m_heavy.d[0, 0]
     np.testing.assert_allclose(np.diag(d_heavy), [4.0, 4.0], atol=1e-14)
     off = ~np.eye(2, dtype=bool)
     np.testing.assert_array_equal(d_heavy[off], d_norm[off])
 
 
-def test_dlm_symmetric_in_lag_order():
+def test_d_symmetric_in_lag_order():
     model = build_model(sorted_expansions("c"), LAGS)
-    for l, m in ((0, 3), (1, 2), (2, 7), (5, 10)):
-        np.testing.assert_allclose(dlm(model, l, m), dlm(model, m, l),
-                                   atol=1e-12)
+    assert model.d.shape == (11, 11, 3, 3)
+    np.testing.assert_allclose(model.d, model.d.transpose(1, 0, 2, 3), atol=1e-12)
 
 
-def test_dlm_rejects_lags_beyond_horizon():
-    model = build_model(sorted_expansions("d"), (1, 2))
-    with pytest.raises(ValueError, match="horizon too small"):
-        dlm(model, 0, 3)
+def test_d_tensor_runs_once_per_model(monkeypatch):
+    # the model carries lambda and D; tables and methods only read them
+    calls = []
+    kernel = asymptotics._d_tensor
+    monkeypatch.setattr(asymptotics, "_d_tensor",
+                        lambda *args: calls.append(args) or kernel(*args))
+    model = build_model(sorted_expansions("c"), LAGS)
+    assert len(calls) == 1
+    asv_deflation(model)
+    asv_symmetric(model)
+    for method in ("deflation", "symmetric", "symmetric-fixedpoint", "symmetric-jacobi"):
+        asv(model, method)
+    assert len(calls) == 1
+    x = simulate_sources(benchmark_model("c"), T=500, seed=1)
+    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
+    assert len(calls) == 2
 
 
 def test_build_model_validation():
     exps = sorted_expansions("d")
-    with pytest.raises(ValueError, match="horizon too small"):
-        build_model(exps, LAGS, kmax=5)
     with pytest.raises(ValueError, match="duplicate"):
         build_model(exps, (1, 1))
     with pytest.raises(ValueError, match="positive"):
@@ -144,6 +142,27 @@ def test_vlm_two_dimensional_structure():
         v, np.diag(d.flatten(order="F")) @ (k22 - d22 + np.eye(4)))
 
 
+def loop_vlm(d):
+    """diag(vec d) (K_pp - D_pp + I) from explicit selector matrices."""
+    p = d.shape[0]
+    n = p * p
+    k_pp = np.zeros((n, n))
+    d_pp = np.zeros((n, n))
+    for i in range(p):
+        for j in range(p):
+            k_pp[i + j * p, j + i * p] = 1.0
+        d_pp[i + i * p, i + i * p] = 1.0
+    return np.diag(d.flatten(order="F")) @ (k_pp - d_pp + np.eye(n))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_vlm_equals_the_selector_matrix_product(p):
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        d = rng.standard_normal((p, p))
+        np.testing.assert_array_equal(vlm(d), loop_vlm(d))
+
+
 def test_vlm_matches_monte_carlo_vec_covariance():
     # empirical covariance of sqrt(T) vec(S_0) for bivariate white noise
     T, reps = 20000, 2000
@@ -153,7 +172,7 @@ def test_vlm_matches_monte_carlo_vec_covariance():
         x = rng.standard_normal((2, T))
         vecs[r] = sample_autocov(x, 0).flatten(order="F") * np.sqrt(T)
     emp = np.cov(vecs.T)
-    v00 = vlm(dlm(white_model(2), 0, 0))
+    v00 = vlm(white_model(2).d[0, 0])
     assert np.max(np.abs(emp - v00)) < 0.1 * np.max(np.abs(v00))
 
 
@@ -173,8 +192,7 @@ def test_diagonal_entries_agree_between_methods():
         defl = asv_deflation(model).per_element
         sym = asv_symmetric(model).per_element
         np.testing.assert_array_equal(np.diag(defl), np.diag(sym))
-        d00 = dlm(model, 0, 0)
-        np.testing.assert_allclose(np.diag(defl), 0.25 * np.diag(d00),
+        np.testing.assert_allclose(np.diag(defl), 0.25 * np.diag(model.d[0, 0]),
                                    atol=1e-14)
 
 
@@ -196,7 +214,7 @@ def test_single_component_table():
     table = asv_symmetric(model)
     assert table.per_element.shape == (1, 1)
     np.testing.assert_allclose(table.per_element[0, 0],
-                               0.25 * dlm(model, 0, 0)[0, 0], atol=1e-14)
+                               0.25 * model.d[0, 0, 0, 0], atol=1e-14)
     assert global_criterion(table) == 0.0
 
 
@@ -332,7 +350,7 @@ def test_trailing_white_component_is_allowed():
 
 
 def test_transform_identity_gamma_is_noop():
-    sigma = vlm(dlm(white_model(2), 0, 0))
+    sigma = vlm(white_model(2).d[0, 0])
     np.testing.assert_allclose(
         transform_general_mixing(sigma, np.eye(2)), sigma, atol=1e-14)
 
@@ -340,7 +358,7 @@ def test_transform_identity_gamma_is_noop():
 def test_transform_matches_explicit_kronecker():
     rng = np.random.default_rng(42)
     gamma = rng.uniform(-1, 1, size=(2, 2)) + 2 * np.eye(2)
-    sigma = vlm(dlm(white_model(2), 0, 0))
+    sigma = vlm(white_model(2).d[0, 0])
     out = transform_general_mixing(sigma, gamma, target="unmixing")
     ref = np.kron(gamma.T, np.eye(2)) @ sigma @ np.kron(gamma, np.eye(2))
     np.testing.assert_allclose(out, ref, atol=1e-12)
@@ -483,9 +501,10 @@ def test_exact_tables_beyond_weight_support_match_closed_form_ar1():
     model = build_model(exps, lags)
     assert max(lags) > max(e.psi.size for e in exps)
     d = functools.cache(functools.partial(closed_form_ar1_dlm, phis))
+    at = (0, *lags).index  # model.d is indexed by position in (0,) + lags
     for l, m in ((0, 100), (3, 90), (90, 100), (100, 100)):
         expected = [[d(l, m, i, j) for j in range(3)] for i in range(3)]
-        np.testing.assert_allclose(dlm(model, l, m), expected,
+        np.testing.assert_allclose(model.d[at(l), at(m)], expected,
                                    rtol=1e-9, atol=1e-15)
     lam = np.array([[phi**k for phi in phis] for k in lags])
     fns = {"deflation": asv_deflation, "symmetric": asv_symmetric}

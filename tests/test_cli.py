@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -204,19 +205,55 @@ MALFORMED_MODELS = {
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "asv", "benchmark"])
+MODEL_COMMANDS = {"simulate": ["--T", "100"],
+                  "asv": ["--lags", "1"],
+                  "benchmark": ["--lags", "1", "--T-values", "300", "--reps", "1"]}
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
 @pytest.mark.parametrize("doc", MALFORMED_MODELS)
 def test_malformed_model_is_one_error_line(tmp_path, doc, command, capsys):
     model = tmp_path / "m.json"
     model.write_text(json.dumps(MALFORMED_MODELS[doc]))
-    argv = {"simulate": ["--T", "100", "--output", str(tmp_path / "z.csv")],
-            "asv": ["--lags", "1"],
-            "benchmark": ["--lags", "1", "--T-values", "300", "--reps", "1"]}[command]
-    assert main([command, "--model", str(model), *argv]) == 1
+    argv = [command, "--model", str(model), *MODEL_COMMANDS[command],
+            "--output", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: malformed model ")
+
+
+NAN, INF = float("nan"), float("inf")
+AR_HALF = {"kind": "ar", "ar": [0.5]}
+UNUSABLE_COEFFICIENTS = {
+    "ma-nan": ([{"kind": "ma", "ma": [NAN]}, AR_HALF], "ma coefficients must be finite"),
+    "ar-inf": ([{"kind": "ar", "ar": [INF]}, AR_HALF], "ar coefficients must be finite"),
+    "arma-ar-nan": ([{"kind": "arma", "ar": [NAN], "ma": [0.5]}, AR_HALF],
+                    "ar coefficients must be finite"),
+    "arma-ma-minus-inf": ([{"kind": "arma", "ar": [0.5], "ma": [-INF]}, AR_HALF],
+                          "ma coefficients must be finite"),
+    "ma-overflow": ([{"kind": "ma", "ma": [1e200]}, AR_HALF], "psi weights overflow"),
+    "arma-overflow": ([{"kind": "arma", "ar": [0.9], "ma": [1e308, 1e308]}, AR_HALF],
+                      "psi weights overflow"),
+    "psi-underflow": ([{"kind": "psi", "psi": [1e-200]}, AR_HALF], "psi weights underflow"),
+}
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+@pytest.mark.parametrize("doc", UNUSABLE_COEFFICIENTS)
+def test_unusable_coefficients_are_one_error_line(tmp_path, doc, command, capsys):
+    components, message = UNUSABLE_COEFFICIENTS[doc]
+    model = write_model(tmp_path / "m.json", components)  # NaN and Infinity literals
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--model", model, *MODEL_COMMANDS[command],
+                     "--output", str(tmp_path / "out.csv")])
+    assert code == 1 and caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}")
 
 
 JSON = st.recursive(

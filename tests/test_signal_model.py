@@ -91,6 +91,12 @@ def test_spec_validation_errors():
         SourceSpec("psi", psi=(0.0, 0.0))
     with pytest.raises(ValueError):
         SourceSpec("psi", psi=(np.inf, 1.0))
+    for kind in ("ar", "ma", "arma"):
+        for field in ("ar", "ma"):
+            if kind in (field, "arma"):
+                for bad in (np.nan, np.inf, -np.inf):
+                    with pytest.raises(ValueError, match=f"{field} coefficients must be finite"):
+                        SourceSpec(kind, **{field: (0.1, bad)})
 
 
 def test_explicit_psi_alias():
@@ -106,6 +112,8 @@ def test_spec_dict_round_trip():
 def test_expansion_requires_normalized_weights():
     with pytest.raises(ValueError, match="not normalized"):
         MAExpansion(psi=np.array([1.0, 1.0]), truncation_tol=1e-12)
+    with pytest.raises(ValueError, match="not normalized"):
+        MAExpansion(psi=np.array([1.0, np.nan]), truncation_tol=1e-12)
 
 
 def test_white_noise_simulation_is_the_raw_draws():
