@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,15 +51,17 @@ def _parse_lags(spec: str) -> tuple[int, ...]:
         item = item.strip()
         if not item:
             continue
-        step = 1
-        if "/" in item:
-            item, step_s = item.split("/")
-            step = int(step_s)
-        if "-" in item.lstrip("-"):
-            lo, hi = item.split("-")
-            out.extend(range(int(lo), int(hi) + 1, step))
+        span, slash, step = item.partition("/")
+        if "-" in span.lstrip("-"):
+            lo, hi = span.split("-")
+            stride = int(step) if slash else 1
+            if stride < 1:
+                raise ValueError(f"lag item {item!r}: the stride must be at least 1")
+            out.extend(range(int(lo), int(hi) + 1, stride))
+        elif slash:
+            raise ValueError(f"lag item {item!r}: a stride needs a range, as in 1-9/2")
         else:
-            out.append(int(item))
+            out.append(int(span))
     if not out:
         raise ValueError(f"lag list {spec!r} names no lag")
     return tuple(out)
@@ -92,7 +96,11 @@ def _read_series(path: str) -> np.ndarray:
         [float(tok) for tok in first.strip().split(",")]
     except ValueError:
         skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path} holds no data")
     return data.T
 
 
@@ -171,8 +179,10 @@ def cmd_asv(args) -> int:
 # that per-call overhead on p x p matrices stops dominating, small enough
 # that the stacked lag matrices of a block stay small.
 _BLOCK_REPS = 256
-# Upper bound on the bytes of simulated series held at once: the reps of a
-# block are simulated and reduced to lag matrices this many at a time.
+# Upper bound on the bytes of simulated series held at once, over all threads
+# and T values: the reps of a block are simulated and reduced to lag matrices
+# a chunk at a time, and each thread holds one chunk (and the innovations of
+# one rep).
 _CHUNK_BYTES = 1 << 20
 
 
@@ -182,45 +192,82 @@ def _rep_blocks(reps: int, jobs: int) -> list[range]:
     return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
 
 
-def _block_lag_matrices(plan, lags, T, reps, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Centered S_0 (B, p, p) and S_k (B, K, p, p) of the reps' series.
+def _threads(jobs: int) -> int:
+    """Threads for each of ``jobs`` worker processes: the CPUs this process may use, shared."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // jobs)
 
-    Rep r is simulated from ``plan`` with the seed (seed, r).  The reps are
-    simulated a chunk of at most _CHUNK_BYTES at a time into one buffer, and
-    each chunk is reduced at once; every matrix equals, bit for bit, what
-    autocov_set gives on that rep's series alone.
+
+def _block_lag_matrices(plan, lags, t_values, reps, seed, threads):
+    """Centered S_0 (B, p, p) and S_k (B, K, p, p) of the reps' series, per T.
+
+    Rep r draws its innovations once, from ``default_rng((seed, r))``, for
+    the longest T; a shorter T reads a prefix of that draw, which is the whole
+    draw simulate_sources makes at that T.  Each of up to ``threads`` threads
+    takes every n-th chunk of reps, simulates it at every T into its own
+    buffers and reduces it at once into its rows of the result.  Every matrix
+    equals, bit for bit, what autocov_set gives on that rep's series alone,
+    whatever the chunks and threads.
     """
-    lags = autocovariance._check_lags(lags, T)
+    t_values = sorted(set(t_values))
+    lags = autocovariance._check_lags(lags, t_values[0])
     p, B = len(plan.components), len(reps)
-    s0, S = np.empty((B, p, p)), np.empty((B, len(lags), p, p))
-    buf = np.empty((min(B, max(1, _CHUNK_BYTES // (8 * p * T))), p, T))
-    for lo in range(0, B, len(buf)):
-        z = buf[: min(len(buf), B - lo)]
-        for c, rep in enumerate(reps[lo: lo + len(z)]):
-            signal_model._draw_sources(plan, (seed, rep), z[c])
-        autocovariance._check_finite(z)
-        z -= z.mean(axis=-1, keepdims=True)
-        s0[lo: lo + len(z)] = autocovariance._lag_product(z, 0)
-        for i, k in enumerate(lags):
-            S[lo: lo + len(z), i] = autocovariance._lag_product(z, k)
-    return s0, S
+    out = {T: (np.empty((B, p, p)), np.empty((B, len(lags), p, p))) for T in t_values}
+    size = min(B, max(1, _CHUNK_BYTES // (threads * 8 * p * sum(t_values))))
+    starts = range(0, B, size)
+    n = min(threads, len(starts))
+    # allocated by the calling thread, so that the worker threads' malloc
+    # arenas do not grow to hold them
+    buffers = [(np.empty(p * (plan.pre + t_values[-1])),
+                [np.empty((size, p, T)) for T in t_values]) for _ in range(n)]
+
+    def work(j):
+        eps, series = buffers[j]
+        for lo in starts[j::n]:
+            rs = reps[lo: lo + size]
+            zs = [z[: len(rs)] for z in series]
+            for c, rep in enumerate(rs):
+                np.random.default_rng((seed, rep)).standard_normal(out=eps)
+                for z in zs:
+                    signal_model._filter_sources(
+                        plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z[c])
+            for z, (s0, S) in zip(zs, out.values()):
+                autocovariance._check_finite(z)
+                z -= z.mean(axis=-1, keepdims=True)
+                s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
+                for i, k in enumerate(lags):
+                    S[lo: lo + len(rs), i] = autocovariance._lag_product(z, k)
+
+    if n > 1:
+        with ThreadPoolExecutor(n) as ex:
+            list(ex.map(work, range(n)))
+    else:
+        work(0)
+    return out
 
 
-def _mc_block(plan, lags, T, reps, methods, args) -> dict[str, list[float]]:
-    """T (p-1) mdi^2 of every rep in ``reps`` for every method.
+def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, list[float]]]:
+    """T (p-1) mdi^2 of every rep in ``reps``, per T and method.
 
     The whole block is whitened and solved at once, by each method's block
     kernel.  Every rep gets the result that the public chain
     simulate_sources -> autocov_set -> solver gives it alone.
     """
-    s0, S = _block_lag_matrices(plan, lags, T, reps, args.seed)
-    W = autocovariance._whiten(s0)
-    R = autocovariance._whitened(W, S)
-    p, start = s0.shape[-1], joint_diag._start(lags)
     out = {}
-    for method in methods:
-        us = _METHODS[method][1](R, start, args, reps).u
-        out[method] = [T * (p - 1) * metrics.mdi(u @ w) ** 2 for u, w in zip(us, W)]
+    mats = _block_lag_matrices(plan, lags, t_values, reps, args.seed, _threads(args.jobs))
+    for T, (s0, S) in mats.items():
+        W = autocovariance._whiten(s0)
+        R = autocovariance._whitened(W, S)
+        p, start = s0.shape[-1], joint_diag._start(lags)
+        out[T] = {}
+        for method in methods:
+            mdis = metrics._mdi_block(_METHODS[method][1](R, start, args, reps).u @ W)
+            # squared as Python floats: C pow, which float ** 2 calls, and
+            # numpy's square round differently in about 0.1% of values
+            out[T][method] = [T * (p - 1) * m ** 2 for m in mdis.tolist()]
     return out
 
 
@@ -250,19 +297,18 @@ def cmd_benchmark(args) -> int:
             expected[method] = float("nan")
 
     plan = signal_model._plan_sources(specs, args.burn_in)
-    blocks = _rep_blocks(args.reps, args.jobs)
-    tasks = [(plan, lags, T, reps, methods, args) for T in t_values for reps in blocks]
+    tasks = [(plan, lags, t_values, reps, methods, args)
+             for reps in _rep_blocks(args.reps, args.jobs)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            results = list(ex.map(_mc_block, *zip(*tasks)))
+            parts = list(ex.map(_mc_block, *zip(*tasks)))
     else:
-        results = [_mc_block(*task) for task in tasks]
+        parts = [_mc_block(*task) for task in tasks]
 
     lines = ["T,method,reps,average,expected"]
-    for i, T in enumerate(t_values):
-        parts = results[i * len(blocks):(i + 1) * len(blocks)]
+    for T in t_values:
         for method in methods:
-            avg = float(np.mean([v for part in parts for v in part[method]]))
+            avg = float(np.mean([v for part in parts for v in part[T][method]]))
             lines.append(f"{T},{method},{args.reps},{avg:.17g},{expected[method]:.17g}")
             print(lines[-1])
     if args.output:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -23,20 +25,42 @@ def mdi(g: np.ndarray) -> float:
     worst possible value.  Defined as 0 for p = 1.
     """
     g = np.atleast_2d(np.asarray(g, dtype=float))
-    p = g.shape[0]
-    if g.shape != (p, p):
+    if g.ndim != 2:
+        raise ValueError("gain matrix must be square")
+    return float(_mdi_block(g[None])[0])
+
+
+# Largest p whose p! assignments _mdi_block enumerates; above it, the
+# Hungarian algorithm solves one matrix at a time.
+_ENUMERATED_P = 6
+
+
+def _mdi_block(g: np.ndarray) -> np.ndarray:
+    """mdi of each gain matrix in g (B, p, p).
+
+    Every assignment's weight is summed in row order, as
+    ``weights[rows, cols].sum()`` sums the Hungarian one, so the two agree
+    bit for bit on the best assignment.  Enumerating holds B p! p weights
+    at once: 8.8 MB for a block of 256 at p = 6.
+    """
+    p = g.shape[-1]
+    if g.shape[1:] != (p, p):
         raise ValueError("gain matrix must be square")
     if not np.all(np.isfinite(g)):
         raise ValueError("gain matrix must be finite")
     if p == 1:
-        return 0.0
-    row_norms = (g**2).sum(axis=1)
+        return np.zeros(len(g))
+    row_norms = (g**2).sum(axis=-1)
     if np.any(row_norms == 0.0):
         raise ValueError("rank deficient")
-    weights = g**2 / row_norms[:, None]
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    matched = float(weights[rows, cols].sum())
-    return float(np.sqrt(max(p - matched, 0.0) / (p - 1)))
+    weights = g**2 / row_norms[..., None]
+    if p <= _ENUMERATED_P:
+        perms = np.array(list(itertools.permutations(range(p))))
+        matched = weights[:, np.arange(p), perms].sum(axis=-1).max(axis=-1)
+    else:
+        matched = np.array([w[linear_sum_assignment(w, maximize=True)].sum()
+                            for w in weights])
+    return np.sqrt(np.maximum(p - matched, 0.0) / (p - 1))
 
 
 def amari(g: np.ndarray) -> float:

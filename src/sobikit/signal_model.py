@@ -154,8 +154,9 @@ def _squares(w: np.ndarray) -> tuple[np.ndarray, float]:
         total = sq.sum()
     if not np.isfinite(total):
         raise ValueError("psi weights overflow: the sum of their squares is not finite")
-    if total == 0.0:
-        raise ValueError("psi weights underflow: the sum of their squares is zero")
+    if total < np.finfo(float).tiny:
+        raise ValueError("psi weights underflow: the sum of their squares is below "
+                         "the smallest normal float")
     return sq, total
 
 
@@ -266,17 +267,9 @@ def _plan_sources(specs, burn_in=2000, tol=1e-12, max_len=10**5) -> _SourcePlan:
     return _SourcePlan(pre, tuple(_Component(pre - warm, *rest) for warm, *rest in parts))
 
 
-def _draw_sources(plan: _SourcePlan, seed, out: np.ndarray, innovations=None) -> np.ndarray:
-    """Fill ``out`` (p x T) with the sources drawn from ``default_rng(seed)``."""
-    p, T = out.shape
-    shape = (p, plan.pre + T)
-    rng = np.random.default_rng(seed)
-    if innovations is None:
-        eps = rng.standard_normal(shape)
-    else:
-        eps = np.asarray(innovations(rng, shape), dtype=float)
-        if eps.shape != shape:
-            raise ValueError("innovation hook returned a wrong shape")
+def _filter_sources(plan: _SourcePlan, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (p x T) with the sources that ``plan`` makes of the
+    innovations ``eps`` (p x (plan.pre + T))."""
     for i, c in enumerate(plan.components):
         e = eps[i, c.start:]
         if c.a is None:
@@ -317,7 +310,15 @@ def simulate_sources(
     if T < 2:
         raise ValueError("T must be at least 2")
     plan = _plan_sources(specs, burn_in, tol, max_len)
-    return _draw_sources(plan, seed, np.empty((len(plan.components), T)), innovations)
+    shape = (len(plan.components), plan.pre + T)
+    rng = np.random.default_rng(seed)
+    if innovations is None:
+        eps = rng.standard_normal(shape)
+    else:
+        eps = np.asarray(innovations(rng, shape), dtype=float)
+        if eps.shape != shape:
+            raise ValueError("innovation hook returned a wrong shape")
+    return _filter_sources(plan, eps, np.empty((shape[0], T)))
 
 
 def mix(z: np.ndarray, model: MixingModel) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -237,6 +238,8 @@ UNUSABLE_COEFFICIENTS = {
     "arma-overflow": ([{"kind": "arma", "ar": [0.9], "ma": [1e308, 1e308]}, AR_HALF],
                       "psi weights overflow"),
     "psi-underflow": ([{"kind": "psi", "psi": [1e-200]}, AR_HALF], "psi weights underflow"),
+    "psi-subnormal": ([{"kind": "psi", "psi": [1e-160, 1e-161]}, AR_HALF],
+                      "psi weights underflow"),
 }
 
 
@@ -305,9 +308,9 @@ def test_benchmark_deterministic_and_jobs_invariant(tmp_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert main(args + ["--jobs", "2"]) == 0
-    parallel = capsys.readouterr().out
-    assert parallel == first
+    for jobs in ("2", "3"):
+        assert main(args + ["--jobs", jobs]) == 0
+        assert capsys.readouterr().out == first
 
 
 SOLVER_OPTIONS_OUT_OF_RANGE = [("--max-iter", "0"), ("--max-sweeps", "0"),
@@ -380,8 +383,8 @@ def test_benchmark_amuse_average_meets_its_exact_limit(preset):
     specs = benchmark_model(preset)
     args = cli.build_parser().parse_args(["benchmark", "--preset", preset, "--lags", "1",
                                           "--T-values", "4000"])
-    vals = cli._mc_block(_plan_sources(specs), (1,), 4000, range(1000), ["amuse"], args)
-    vals = np.asarray(vals["amuse"])
+    vals = cli._mc_block(_plan_sources(specs), (1,), [4000], range(1000), ["amuse"], args)
+    vals = np.asarray(vals[4000]["amuse"])
     exact = global_criterion(asv(cli._exact_model(specs, (1,)), "amuse"))
     assert abs(vals.mean() - exact) < 4 * vals.std(ddof=1) / np.sqrt(vals.size)
 
@@ -420,41 +423,106 @@ def test_separate_rejects_solver_options_out_of_range(dataset, tmp_path, option,
     assert not (tmp_path / "sep.json").exists()
 
 
-@pytest.mark.parametrize("command", ["asv", "separate", "lagselect", "benchmark"])
-def test_empty_lag_list_rejected(dataset, tmp_path, command, capsys):
-    argv = {
-        "asv": ["asv", "--preset", "b", "--lags", ","],
-        "separate": ["separate", "--data", dataset, "--lags", ",",
+def lag_argv(command, lags, dataset, tmp_path):
+    """The argv of a subcommand that parses ``lags`` as a lag list."""
+    return {
+        "asv": ["asv", "--preset", "b", "--lags", lags],
+        "separate": ["separate", "--data", dataset, "--lags", lags,
                      "--output", str(tmp_path / "sep")],
-        "lagselect": ["lagselect", "--data", dataset, "--lag-sets", "1-3;,"],
-        "benchmark": ["benchmark", "--preset", "b", "--lags", ",", "--reps", "2",
+        "lagselect": ["lagselect", "--data", dataset, "--lag-sets", f"1-3;{lags}"],
+        "benchmark": ["benchmark", "--preset", "b", "--lags", lags, "--reps", "2",
                       "--T-values", "300"],
     }[command]
-    assert main(argv) == 1
+
+
+@pytest.mark.parametrize("command", ["asv", "separate", "lagselect", "benchmark"])
+def test_empty_lag_list_rejected(dataset, tmp_path, command, capsys):
+    assert main(lag_argv(command, ",", dataset, tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: lag list ',' names no lag"]
 
 
+@pytest.mark.parametrize("command", ["asv", "separate", "lagselect", "benchmark"])
+@pytest.mark.parametrize("item, reason", [("3/2", "a stride needs a range, as in 1-9/2"),
+                                          ("1/0", "a stride needs a range, as in 1-9/2"),
+                                          ("1-9/0", "the stride must be at least 1"),
+                                          ("2-8/-1", "the stride must be at least 1")])
+def test_lag_stride_needs_a_range_and_a_positive_step(dataset, tmp_path, command, item,
+                                                      reason, capsys):
+    assert main(lag_argv(command, f"{item},5", dataset, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: lag item {item!r}: {reason}"]
+
+
+@pytest.mark.parametrize("content", ["", "x1,x2,x3\n"])
+@pytest.mark.parametrize("command", ["separate", "lagselect"])
+def test_empty_data_file_is_one_error_line(tmp_path, content, command, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text(content)
+    argv = {"separate": ["separate", "--data", str(data), "--lags", "1-3",
+                         "--output", str(tmp_path / "sep")],
+            "lagselect": ["lagselect", "--data", str(data), "--lag-sets", "1;2"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {data} holds no data"]
+
+
 @pytest.mark.parametrize("chunk_reps", [1, 7])
 def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
-    # a block of 20 reps split into chunks of 1 or 7 (the last one partial);
-    # every stacked matrix must equal the per-rep public chain bit for bit
+    # a block of 20 reps split into chunks of 1 or 7 (the last one partial),
+    # shared by 1 or 3 threads (more than this machine's cores, switching
+    # often), each rep drawn once for three T values; every stacked matrix
+    # must equal the per-rep public chain at that T bit for bit
     specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ma", ma=(0.5, -0.3)),
              SourceSpec("psi", psi=(1.0, 0.0, 0.4))]
-    seed, T, lags, reps = 8, 300, (1, 2, 5, 9), range(3, 23)
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_reps * 8 * len(specs) * T)
-    s0, S = cli._block_lag_matrices(_plan_sources(specs), lags, T, reps, seed)
-    W = cli.autocovariance._whiten(s0)
-    R = cli.autocovariance._whitened(W, S)
-    assert S.shape == (len(reps), len(lags), 3, 3)
-    for b, rep in enumerate(reps):
-        acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
-        w = whitener(acs.s0)
-        np.testing.assert_array_equal(s0[b], acs.s0)
-        np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
-        np.testing.assert_array_equal(W[b], w)
-        np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
+    seed, t_values, lags, reps = 8, (300, 120, 500), (1, 2, 5, 9), range(3, 23)
+    chains = {(T, rep): autocov_set(simulate_sources(specs, T, (seed, rep)), lags,
+                                    centered=True) for T in t_values for rep in reps}
+    interval = sys.getswitchinterval()
+    for threads in (1, 3):
+        monkeypatch.setattr(cli, "_CHUNK_BYTES",
+                            chunk_reps * threads * 8 * len(specs) * sum(t_values))
+        sys.setswitchinterval(1e-6)
+        try:
+            mats = cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps,
+                                           seed, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(mats) == sorted(t_values)
+        for T, (s0, S) in mats.items():
+            W = cli.autocovariance._whiten(s0)
+            R = cli.autocovariance._whitened(W, S)
+            assert S.shape == (len(reps), len(lags), 3, 3)
+            for b, rep in enumerate(reps):
+                acs = chains[T, rep]
+                w = whitener(acs.s0)
+                np.testing.assert_array_equal(s0[b], acs.s0)
+                np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
+                np.testing.assert_array_equal(W[b], w)
+                np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
+
+
+def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys):
+    # each T reads a prefix of the one draw per rep, so a row is the same
+    # whether its T runs alone, first or last, and on one thread or three
+    argv = ["benchmark", "--preset", "d", "--lags", "1-10", "--reps", "5", "--seed", "4",
+            "--methods", "deflation,symmetric-jacobi"]
+    rows = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(cli, "_threads", lambda jobs: threads)
+        for t_values in ("300,1000", "1000,300", "300", "1000"):
+            assert main(argv + ["--T-values", t_values]) == 0
+            rows[threads, t_values] = capsys.readouterr().out.strip().splitlines()
+    for threads in (1, 3):
+        assert rows[threads, "300,1000"] == rows[1, "300"] + rows[1, "1000"]
+        assert rows[threads, "1000,300"] == rows[1, "1000"] + rows[1, "300"]
+        assert rows[threads, "300"] == rows[1, "300"]
 
 
 def test_benchmark_fixedpoint_follows_the_public_chain(capsys):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobikit.asymptotics import asv_symmetric, build_model, global_criterion
-from sobikit.metrics import amari, mdi
+from scipy.optimize import linear_sum_assignment
+
+from sobikit.metrics import _mdi_block, amari, mdi
 from sobikit.presets import benchmark_model
 from sobikit.signal_model import expand_to_ma
 
@@ -18,6 +20,14 @@ def brute_force_mdi(g):
     best = max(sum(w[i, pi[i]] for i in range(p))
                for pi in itertools.permutations(range(p)))
     return np.sqrt((p - best) / (p - 1))
+
+
+def assignment_mdi(g):
+    # the Hungarian assignment that mdi solved before it enumerated permutations
+    p = g.shape[0]
+    w = g**2 / (g**2).sum(axis=1)[:, None]
+    matched = float(w[linear_sum_assignment(w, maximize=True)].sum())
+    return float(np.sqrt(max(p - matched, 0.0) / (p - 1)))
 
 
 def random_c_matrix(p, rng):
@@ -91,6 +101,20 @@ def test_amari_changes_under_row_rescaling():
     assert abs(mdi(rescaled) - mdi(g)) < 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
+def test_mdi_block_equals_the_assignment_value(p):
+    # enumerated for p <= 6, Hungarian above; both bit-equal to the
+    # linear_sum_assignment value, as a stack and one matrix at a time
+    rng = np.random.default_rng(p)
+    g = np.concatenate([rng.standard_normal((40, p, p)),
+                        rng.standard_normal((10, p, p)) + 3 * np.eye(p),
+                        np.ones((1, p, p))])  # every assignment ties
+    expected = [assignment_mdi(x) for x in g]
+    assert _mdi_block(g).tolist() == expected
+    assert [mdi(x) for x in g] == expected
+    assert expected[-1] == 1.0
+
+
 def test_validation_errors():
     with pytest.raises(ValueError, match="square"):
         mdi(np.ones((2, 3)))
@@ -98,6 +122,10 @@ def test_validation_errors():
         mdi(np.array([[np.nan, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="rank deficient"):
         mdi(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        mdi(np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="rank deficient"):
+        _mdi_block(np.stack([np.eye(2), [[0.0, 0.0], [1.0, 1.0]]]))
     with pytest.raises(ValueError):
         amari(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
