@@ -24,10 +24,7 @@ def mdi(g: np.ndarray) -> float:
     Zero iff g is a scaled, signed permutation; the scaling makes 1 the
     worst possible value.  Defined as 0 for p = 1.
     """
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    if g.ndim != 2:
-        raise ValueError("gain matrix must be square")
-    return float(_mdi_block(g[None])[0])
+    return float(_mdi_block(np.atleast_2d(np.asarray(g, dtype=float))[None])[0])
 
 
 # Largest p whose p! assignments _mdi_block enumerates; above it, the

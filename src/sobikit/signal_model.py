@@ -140,10 +140,12 @@ class MixingModel:
 
 
 def _check_causal(ar: Sequence[float]):
-    # roots of 1 - phi_1 z - ... - phi_p' z^p' must lie outside the unit circle
-    coeffs = np.r_[-np.asarray(ar, dtype=float)[::-1], 1.0]
-    roots = np.roots(coeffs)
-    if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-10:
+    # roots of 1 - phi_1 z - ... - phi_p' z^p' must lie outside the unit
+    # circle, so the reciprocal roots, those of z^p' - phi_1 z^(p'-1) - ...
+    # - phi_p', inside it; that polynomial is monic, so a subnormal phi_p'
+    # is never a divisor
+    roots = np.roots(np.r_[1.0, -np.asarray(ar, dtype=float)])
+    if roots.size and np.max(np.abs(roots)) * (1.0 + 1e-10) >= 1.0:
         raise ValueError("not causal")
 
 

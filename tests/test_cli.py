@@ -511,8 +511,10 @@ def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
 def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys):
     # each T reads a prefix of the one draw per rep, so a row is the same
     # whether its T runs alone, first or last, and on one thread or three
+    # (one rep per chunk, so that three threads share the five chunks)
     argv = ["benchmark", "--preset", "d", "--lags", "1-10", "--reps", "5", "--seed", "4",
             "--methods", "deflation,symmetric-jacobi"]
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
     rows = {}
     for threads in (1, 3):
         monkeypatch.setattr(cli, "_threads", lambda jobs: threads)

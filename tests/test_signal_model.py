@@ -71,6 +71,12 @@ def test_noncausal_ar_rejected():
         SourceSpec("arma", ar=(0.5, 0.5), ma=(0.3,))
 
 
+@pytest.mark.parametrize("ar", [(5e-324,), (0.5, 5e-324), (-1e-320, 1e-320, 0.3)])
+def test_subnormal_ar_coefficients_are_causal(ar):
+    # no RuntimeWarning (an error under this suite's filters) and no rejection
+    assert SourceSpec("ar", ar=ar).ar == ar
+
+
 def test_truncation_overflow():
     with pytest.raises(ValueError, match="truncation overflow"):
         expand_to_ma(SourceSpec("ar", ar=(0.999,)), max_len=10)
