@@ -258,10 +258,10 @@ def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, 
     """
     out = {}
     mats = _block_lag_matrices(plan, lags, t_values, reps, args.seed, _threads(args.jobs))
+    p, start = len(plan.components), joint_diag._start(lags)
     for T, (s0, S) in mats.items():
         W = autocovariance._whiten(s0)
         R = autocovariance._whitened(W, S)
-        p, start = s0.shape[-1], joint_diag._start(lags)
         out[T] = {}
         for method in methods:
             mdis = metrics._mdi_block(_METHODS[method][1](R, start, args, reps).u @ W)
