@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -179,10 +178,9 @@ def cmd_asv(args) -> int:
 # that per-call overhead on p x p matrices stops dominating, small enough
 # that the stacked lag matrices of a block stay small.
 _BLOCK_REPS = 256
-# Upper bound on the bytes of simulated series held at once, over all threads
-# and T values: the reps of a block are simulated and reduced to lag matrices
-# a chunk at a time, and each thread holds one chunk (and the innovations of
-# one rep).
+# Upper bound on the bytes of simulated series held at once, over all T
+# values: the reps of a block are simulated and reduced to lag matrices a
+# chunk at a time.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -192,60 +190,37 @@ def _rep_blocks(reps: int, jobs: int) -> list[range]:
     return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
 
 
-def _threads(jobs: int) -> int:
-    """Threads for each of ``jobs`` worker processes: the CPUs this process may use, shared."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // jobs)
-
-
-def _block_lag_matrices(plan, lags, t_values, reps, seed, threads):
+def _block_lag_matrices(plan, lags, t_values, reps, seed):
     """Centered S_0 (B, p, p) and S_k (B, K, p, p) of the reps' series, per T.
 
     Rep r draws its innovations once, from ``default_rng((seed, r))``, for
     the longest T; a shorter T reads a prefix of that draw, which is the whole
-    draw simulate_sources makes at that T.  Each of up to ``threads`` threads
-    takes every n-th chunk of reps, simulates it at every T into its own
-    buffers and reduces it at once into its rows of the result.  Every matrix
-    equals, bit for bit, what autocov_set gives on that rep's series alone,
-    whatever the chunks and threads.
+    draw simulate_sources makes at that T.  Each chunk of reps is simulated
+    at every T into reused buffers and reduced at once into its rows of the
+    result.  Every matrix equals, bit for bit, what autocov_set gives on that
+    rep's series alone, whatever the chunk size.
     """
     t_values = sorted(set(t_values))
     lags = autocovariance._check_lags(lags, t_values[0])
     p, B = len(plan.components), len(reps)
     out = {T: (np.empty((B, p, p)), np.empty((B, len(lags), p, p))) for T in t_values}
-    size = min(B, max(1, _CHUNK_BYTES // (threads * 8 * p * sum(t_values))))
-    starts = range(0, B, size)
-    n = min(threads, len(starts))
-    # allocated by the calling thread, so that the worker threads' malloc
-    # arenas do not grow to hold them
-    buffers = [(np.empty(p * (plan.pre + t_values[-1])),
-                [np.empty((size, p, T)) for T in t_values]) for _ in range(n)]
-
-    def work(j):
-        eps, series = buffers[j]
-        for lo in starts[j::n]:
-            rs = reps[lo: lo + size]
-            zs = [z[: len(rs)] for z in series]
-            for c, rep in enumerate(rs):
-                np.random.default_rng((seed, rep)).standard_normal(out=eps)
-                for z in zs:
-                    signal_model._filter_sources(
-                        plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z[c])
-            for z, (s0, S) in zip(zs, out.values()):
-                autocovariance._check_finite(z)
-                z -= z.mean(axis=-1, keepdims=True)
-                s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
-                for i, k in enumerate(lags):
-                    S[lo: lo + len(rs), i] = autocovariance._lag_product(z, k)
-
-    if n > 1:
-        with ThreadPoolExecutor(n) as ex:
-            list(ex.map(work, range(n)))
-    else:
-        work(0)
+    size = min(B, max(1, _CHUNK_BYTES // (8 * p * sum(t_values))))
+    eps = np.empty(p * (plan.pre + t_values[-1]))
+    series = [np.empty((size, p, T)) for T in t_values]
+    for lo in range(0, B, size):
+        rs = reps[lo: lo + size]
+        zs = [z[: len(rs)] for z in series]
+        for c, rep in enumerate(rs):
+            np.random.default_rng((seed, rep)).standard_normal(out=eps)
+            for z in zs:
+                signal_model._filter_sources(
+                    plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z[c])
+        for z, (s0, S) in zip(zs, out.values()):
+            autocovariance._check_finite(z)
+            z -= z.mean(axis=-1, keepdims=True)
+            s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
+            for i, k in enumerate(lags):
+                S[lo: lo + len(rs), i] = autocovariance._lag_product(z, k)
     return out
 
 
@@ -257,7 +232,7 @@ def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, 
     simulate_sources -> autocov_set -> solver gives it alone.
     """
     out = {}
-    mats = _block_lag_matrices(plan, lags, t_values, reps, args.seed, _threads(args.jobs))
+    mats = _block_lag_matrices(plan, lags, t_values, reps, args.seed)
     p, start = len(plan.components), joint_diag._start(lags)
     for T, (s0, S) in mats.items():
         W = autocovariance._whiten(s0)

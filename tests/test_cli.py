@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -476,55 +475,39 @@ def test_empty_data_file_is_one_error_line(tmp_path, content, command, capsys):
 @pytest.mark.parametrize("chunk_reps", [1, 7])
 def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
     # a block of 20 reps split into chunks of 1 or 7 (the last one partial),
-    # shared by 1 or 3 threads (more than this machine's cores, switching
-    # often), each rep drawn once for three T values; every stacked matrix
-    # must equal the per-rep public chain at that T bit for bit
+    # each rep drawn once for three T values; every stacked matrix must equal
+    # the per-rep public chain at that T bit for bit
     specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ma", ma=(0.5, -0.3)),
              SourceSpec("psi", psi=(1.0, 0.0, 0.4))]
     seed, t_values, lags, reps = 8, (300, 120, 500), (1, 2, 5, 9), range(3, 23)
-    chains = {(T, rep): autocov_set(simulate_sources(specs, T, (seed, rep)), lags,
-                                    centered=True) for T in t_values for rep in reps}
-    interval = sys.getswitchinterval()
-    for threads in (1, 3):
-        monkeypatch.setattr(cli, "_CHUNK_BYTES",
-                            chunk_reps * threads * 8 * len(specs) * sum(t_values))
-        sys.setswitchinterval(1e-6)
-        try:
-            mats = cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps,
-                                           seed, threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(mats) == sorted(t_values)
-        for T, (s0, S) in mats.items():
-            W = cli.autocovariance._whiten(s0)
-            R = cli.autocovariance._whitened(W, S)
-            assert S.shape == (len(reps), len(lags), 3, 3)
-            for b, rep in enumerate(reps):
-                acs = chains[T, rep]
-                w = whitener(acs.s0)
-                np.testing.assert_array_equal(s0[b], acs.s0)
-                np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
-                np.testing.assert_array_equal(W[b], w)
-                np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_reps * 8 * len(specs) * sum(t_values))
+    mats = cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps, seed)
+    assert sorted(mats) == sorted(t_values)
+    for T, (s0, S) in mats.items():
+        W = cli.autocovariance._whiten(s0)
+        R = cli.autocovariance._whitened(W, S)
+        assert S.shape == (len(reps), len(lags), 3, 3)
+        for b, rep in enumerate(reps):
+            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
+            w = whitener(acs.s0)
+            np.testing.assert_array_equal(s0[b], acs.s0)
+            np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
+            np.testing.assert_array_equal(W[b], w)
+            np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
 
 
 def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys):
     # each T reads a prefix of the one draw per rep, so a row is the same
-    # whether its T runs alone, first or last, and on one thread or three
-    # (one rep per chunk, so that three threads share the five chunks)
+    # whether its T runs alone, first or last (one rep per chunk)
     argv = ["benchmark", "--preset", "d", "--lags", "1-10", "--reps", "5", "--seed", "4",
             "--methods", "deflation,symmetric-jacobi"]
     monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
     rows = {}
-    for threads in (1, 3):
-        monkeypatch.setattr(cli, "_threads", lambda jobs: threads)
-        for t_values in ("300,1000", "1000,300", "300", "1000"):
-            assert main(argv + ["--T-values", t_values]) == 0
-            rows[threads, t_values] = capsys.readouterr().out.strip().splitlines()
-    for threads in (1, 3):
-        assert rows[threads, "300,1000"] == rows[1, "300"] + rows[1, "1000"]
-        assert rows[threads, "1000,300"] == rows[1, "1000"] + rows[1, "300"]
-        assert rows[threads, "300"] == rows[1, "300"]
+    for t_values in ("300,1000", "1000,300", "300", "1000"):
+        assert main(argv + ["--T-values", t_values]) == 0
+        rows[t_values] = capsys.readouterr().out.strip().splitlines()
+    assert rows["300,1000"] == rows["300"] + rows["1000"]
+    assert rows["1000,300"] == rows["1000"] + rows["300"]
 
 
 def test_benchmark_fixedpoint_follows_the_public_chain(capsys):

@@ -103,7 +103,7 @@ def test_amari_changes_under_row_rescaling():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
 def test_mdi_block_equals_the_assignment_value(p):
-    # enumerated for p <= 6, Hungarian above; both bit-equal to the
+    # enumerated for p <= 5, Hungarian above; both bit-equal to the
     # linear_sum_assignment value, as a stack and one matrix at a time
     rng = np.random.default_rng(p)
     g = np.concatenate([rng.standard_normal((40, p, p)),
