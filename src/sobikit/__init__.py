@@ -1,7 +1,7 @@
 """Blind source separation of stationary time series.
 
-Estimators built on joint diagonalization of lagged autocovariance
-matrices (AMUSE and SOBI in deflation and symmetric variants), the
+Estimators built on joint diagonalization of autocovariance matrices
+at several lags (AMUSE and SOBI in deflation and symmetric variants), the
 matching asymptotic variance calculations for linear-process sources,
 and performance indices for comparing unmixing estimates.
 """
@@ -23,7 +23,6 @@ from .asymptotics import (
     empirical_asv,
     global_criterion,
     transform_general_mixing,
-    vlm,
 )
 from .joint_diag import (
     UnmixingResult,
@@ -78,6 +77,5 @@ __all__ = [
     "sobi_symmetric_fixedpoint",
     "sobi_symmetric_jacobi",
     "transform_general_mixing",
-    "vlm",
     "whitener",
 ]

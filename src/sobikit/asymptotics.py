@@ -25,7 +25,6 @@ __all__ = [
     "AsymptoticModel",
     "ASVTable",
     "build_model",
-    "vlm",
     "asv",
     "asv_deflation",
     "asv_symmetric",
@@ -212,24 +211,6 @@ def _d_tensor(seqs: np.ndarray, lags, beta: np.ndarray,
     d += q * (fsym[:, None] * fsym[None, :])
     d[:, :, idx, idx] = diag
     return lam[1:], d
-
-
-def vlm(d: np.ndarray) -> np.ndarray:
-    """Full covariance of vec(S_l) with vec(S_m) from its element matrix.
-
-    Returns diag(vec(d)) (K_pp - D_pp + I_{p^2}) with K_pp the commutation
-    matrix and D_pp the diagonal-selector, using column-major vec: that is
-    diag(vec(d)) with vec(d) also written at the commuted positions.
-    """
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    p = d.shape[0]
-    if d.shape != (p, p):
-        raise ValueError("d must be square")
-    v = d.flatten(order="F")
-    out = np.diag(v)
-    r = np.arange(p * p)
-    out[r, (r % p) * p + r // p] = v  # vec(d)[i + j p] to column j + i p
-    return out
 
 
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:

@@ -1,6 +1,6 @@
 """Symmetrized sample autocovariance matrices, whitening, autocorrelations.
 
-Conventions: series are p x T arrays (rows = components).  Lagged matrices
+Conventions: series are p x T arrays (rows = components).  Matrices at lag k > 0
 use the divisor 1/(2(T-k)) over the symmetrized cross products; the lag-0
 matrix uses 1/T.  Every matrix returned here is exactly symmetric.
 """
@@ -17,21 +17,19 @@ __all__ = ["AutocovSet", "sample_autocov", "autocov_set", "whitener", "autocorre
 
 @dataclasses.dataclass(frozen=True)
 class AutocovSet:
-    """Lag-indexed collection of symmetrized sample autocovariance matrices."""
+    """S_0 (..., p, p) and the stack S_k (..., K, p, p) of the lags, in lag order.
+
+    ``sk[..., a, :, :]`` is S at lag ``lags[a]``; leading axes, if any, index
+    a batch of series.
+    """
 
     s0: np.ndarray
-    lagged: dict
+    sk: np.ndarray
     lags: tuple[int, ...]
-    T: int
-    centered: bool
 
     @property
     def p(self) -> int:
-        return self.s0.shape[0]
-
-    def matrices(self) -> list[np.ndarray]:
-        """All matrices in lag order, S_0 first."""
-        return [self.s0] + [self.lagged[k] for k in self.lags]
+        return self.s0.shape[-1]
 
 
 def _as_series(x) -> np.ndarray:
@@ -99,13 +97,19 @@ def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
     lags = _check_lags(lags, T)
     if centered:
         x = x - x.mean(axis=1, keepdims=True)
-    s0 = _lag_product(x, 0)
-    lagged = {k: _lag_product(x, k) for k in lags}
-    return AutocovSet(s0=s0, lagged=lagged, lags=lags, T=T, centered=centered)
+    sk = np.empty((len(lags),) + (x.shape[0],) * 2)
+    for a, k in enumerate(lags):
+        sk[a] = _lag_product(x, k)
+    return AutocovSet(s0=_lag_product(x, 0), sk=sk, lags=lags)
 
 
-def _whiten(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Symmetric inverse square root of each covariance matrix in s0 (..., p, p)."""
+def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
+    """Symmetric inverse square root of each covariance matrix in s0 (..., p, p).
+
+    Eigendecomposition based: W = V diag(w**-1/2) V'.  ``eps`` is the
+    eigenvalue floor; by default 1e-12 relative to the largest eigenvalue.
+    """
+    s0 = np.asarray(s0, dtype=float)
     w, v = np.linalg.eigh((s0 + s0.mT) / 2)
     floor = 1e-12 * np.maximum(w[..., -1], 0.0) if eps is None else eps
     if np.any(w[..., 0] <= floor):
@@ -114,26 +118,10 @@ def _whiten(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
     return (m + m.mT) / 2
 
 
-def _whitened(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """R_k = W S_k W, symmetrized, for W (..., p, p) and S (..., K, p, p)."""
-    w = w[..., None, :, :]
-    r = w @ s @ w
+def autocorrelations(acs: AutocovSet, w: np.ndarray | None = None) -> np.ndarray:
+    """Whitened autocovariances R_k = W S_k W (..., K, p, p), symmetrized, in lag order."""
+    w = (whitener(acs.s0) if w is None else w)[..., None, :, :]
+    r = w @ acs.sk @ w
     return (r + r.mT) / 2
 
 
-def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
-    """Symmetric inverse square root of a covariance matrix.
-
-    Eigendecomposition based: W = V diag(w**-1/2) V'.  ``eps`` is the
-    eigenvalue floor; by default 1e-12 relative to the largest eigenvalue.
-    """
-    return _whiten(np.asarray(s0, dtype=float), eps)
-
-
-def autocorrelations(acs: AutocovSet, w: np.ndarray | None = None) -> list[np.ndarray]:
-    """Whitened autocovariances R_k = W S_k W, symmetrized, in lag order."""
-    if w is None:
-        w = whitener(acs.s0)
-    if not acs.lags:
-        return []
-    return list(_whitened(w, np.stack([acs.lagged[k] for k in acs.lags])))

@@ -40,6 +40,13 @@ _METHODS = {
 }
 
 
+def _int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {text.strip()!r} is not an integer") from None
+
+
 def _parse_lags(spec: str) -> tuple[int, ...]:
     """Lag list syntax: "1-10", "1-10,12-20/2,25", or a preset name."""
     spec = spec.strip()
@@ -50,17 +57,18 @@ def _parse_lags(spec: str) -> tuple[int, ...]:
         item = item.strip()
         if not item:
             continue
+        where = f"lag item {item!r}"
         span, slash, step = item.partition("/")
         if "-" in span.lstrip("-"):
-            lo, hi = span.split("-")
-            stride = int(step) if slash else 1
+            lo, hi = (_int(b, where) for b in span.split("-", 1))
+            stride = _int(step, where) if slash else 1
             if stride < 1:
-                raise ValueError(f"lag item {item!r}: the stride must be at least 1")
-            out.extend(range(int(lo), int(hi) + 1, stride))
+                raise ValueError(f"{where}: the stride must be at least 1")
+            out.extend(range(lo, hi + 1, stride))
         elif slash:
-            raise ValueError(f"lag item {item!r}: a stride needs a range, as in 1-9/2")
+            raise ValueError(f"{where}: a stride needs a range, as in 1-9/2")
         else:
-            out.append(int(span))
+            out.append(_int(span, where))
     if not out:
         raise ValueError(f"lag list {spec!r} names no lag")
     return tuple(out)
@@ -110,7 +118,7 @@ def _fit(x, lags, args):
 
 def _exact_model(specs, lags):
     """ASV model of the specs, which ``build_model`` puts in estimator order."""
-    exps = [expand_to_ma(s, component_index=i) for i, s in enumerate(specs)]
+    exps = [expand_to_ma(s) for s in specs]
     return asymptotics.build_model(exps, lags)
 
 
@@ -190,8 +198,8 @@ def _rep_blocks(reps: int, jobs: int) -> list[range]:
     return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
 
 
-def _block_lag_matrices(plan, lags, t_values, reps, seed):
-    """Centered S_0 (B, p, p) and S_k (B, K, p, p) of the reps' series, per T.
+def _block_lag_matrices(plan, lags, t_values, reps, seed) -> dict[int, autocovariance.AutocovSet]:
+    """Centered lag matrices of the reps' series, per T, batched over the reps.
 
     Rep r draws its innovations once, from ``default_rng((seed, r))``, for
     the longest T; a shorter T reads a prefix of that draw, which is the whole
@@ -203,7 +211,8 @@ def _block_lag_matrices(plan, lags, t_values, reps, seed):
     t_values = sorted(set(t_values))
     lags = autocovariance._check_lags(lags, t_values[0])
     p, B = len(plan.components), len(reps)
-    out = {T: (np.empty((B, p, p)), np.empty((B, len(lags), p, p))) for T in t_values}
+    out = {T: autocovariance.AutocovSet(np.empty((B, p, p)), np.empty((B, len(lags), p, p)), lags)
+           for T in t_values}
     size = min(B, max(1, _CHUNK_BYTES // (8 * p * sum(t_values))))
     eps = np.empty(p * (plan.pre + t_values[-1]))
     series = [np.empty((size, p, T)) for T in t_values]
@@ -215,12 +224,12 @@ def _block_lag_matrices(plan, lags, t_values, reps, seed):
             for z in zs:
                 signal_model._filter_sources(
                     plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z[c])
-        for z, (s0, S) in zip(zs, out.values()):
+        for z, acs in zip(zs, out.values()):
             autocovariance._check_finite(z)
             z -= z.mean(axis=-1, keepdims=True)
-            s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
-            for i, k in enumerate(lags):
-                S[lo: lo + len(rs), i] = autocovariance._lag_product(z, k)
+            acs.s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
+            for a, k in enumerate(lags):
+                acs.sk[lo: lo + len(rs), a] = autocovariance._lag_product(z, k)
     return out
 
 
@@ -232,11 +241,10 @@ def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, 
     simulate_sources -> autocov_set -> solver gives it alone.
     """
     out = {}
-    mats = _block_lag_matrices(plan, lags, t_values, reps, args.seed)
     p, start = len(plan.components), joint_diag._start(lags)
-    for T, (s0, S) in mats.items():
-        W = autocovariance._whiten(s0)
-        R = autocovariance._whitened(W, S)
+    for T, acs in _block_lag_matrices(plan, lags, t_values, reps, args.seed).items():
+        W = autocovariance.whitener(acs.s0)
+        R = autocovariance.autocorrelations(acs, W)
         out[T] = {}
         for method in methods:
             mdis = metrics._mdi_block(_METHODS[method][1](R, start, args, reps).u @ W)
@@ -254,7 +262,7 @@ def cmd_benchmark(args) -> int:
     _check_solver_options(args)
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
-    t_values = [int(t) for t in args.T_values.split(",")]
+    t_values = [_int(t, "--T-values") for t in args.T_values.split(",")]
     if min(t_values) < 2:
         raise ValueError("T must be at least 2")
     methods = [m.strip() for m in args.methods.split(",")]
@@ -299,7 +307,7 @@ def cmd_lagselect(args) -> int:
     if len(lag_sets) < 2:
         raise ValueError("need at least two candidate lag sets")
     p = x.shape[0]
-    rows = [int(r) for r in args.rows.split(",")] if args.rows else range(1, p + 1)
+    rows = [_int(r, "--rows") for r in args.rows.split(",")] if args.rows else range(1, p + 1)
     if any(not 1 <= r <= p for r in rows):
         raise ValueError(f"--rows must lie in 1..{p}")
     rows_sel = np.asarray(rows) - 1

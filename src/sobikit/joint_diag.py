@@ -131,9 +131,9 @@ def _amuse_block(R: np.ndarray, start: int) -> BlockFit:
 def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
     """Whiten ``acs``, ``solve`` its lag stack as a block of one and assemble the result."""
     if not acs.lags:
-        raise ValueError("no lagged autocovariance to diagonalize: the lag set is empty")
+        raise ValueError("nothing to diagonalize: the lag set is empty")
     W = whitener(acs.s0)
-    fit = solve(np.stack(autocorrelations(acs, W))[None])
+    fit = solve(autocorrelations(acs, W)[None])
     U = fit.u[0]
     result = UnmixingResult(
         gamma=U @ W, u=U, whitener=W, method=method,
@@ -147,14 +147,15 @@ def amuse(acs: AutocovSet, tau: int) -> UnmixingResult:
     """Unmixing from the eigendecomposition of a single whitened lag.
 
     Rows follow the eigenvalues of R_tau in decreasing order; a
-    near-degenerate spectrum is flagged with the warning "eigenvalue tie"
+    near-degenerate spectrum gives the warning "eigenvalue tie"
     but a result is still returned.
     """
     if tau not in acs.lags:
         raise ValueError(f"tau = {tau} not among the computed lags")
-    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, acs.lags.index(tau)))
+    a = acs.lags.index(tau)
+    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, a))
     # the eigenvalues of R_tau, row by row: gamma S_tau gamma' = U R_tau U'
-    evals = np.einsum("ja,ab,jb->j", result.gamma, acs.lagged[tau], result.gamma)
+    evals = np.einsum("ja,ab,jb->j", result.gamma, acs.sk[a], result.gamma)
     spread = float(evals[0] - evals[-1])
     if np.any(-np.diff(evals) < 1e-10 * max(spread, np.finfo(float).tiny)):
         _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=2)
@@ -391,13 +392,13 @@ def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:
 
     Symmetric methods: max_{i != j} |gamma_i' T(gamma_j) - gamma_j'
     T(gamma_i)| plus the worst violation of gamma_i' S_0 gamma_j = delta_ij,
-    with T built from the lagged sample autocovariances.  Deflation: the
+    with T built from the sample autocovariances at the lags.  Deflation: the
     largest entry of T(gamma_j) - S_0 (sum_{r <= j} gamma_r gamma_r')
     T(gamma_j) over the first p - 1 rows.
     """
     G = result.gamma
     p = G.shape[0]
-    tg = _tmap_rows(G, np.stack([acs.lagged[k] for k in acs.lags]))
+    tg = _tmap_rows(G, acs.sk)
     if result.method == "deflation":
         worst = 0.0
         acc = np.zeros((p, p))

@@ -85,31 +85,13 @@ class SourceSpec:
             psi=tuple(d["psi"]) if d.get("psi") is not None else None,
         )
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "ar": list(self.ar), "ma": list(self.ma)}
-        if self.psi is not None:
-            d["psi"] = list(self.psi)
-        return d
-
 
 @dataclasses.dataclass(frozen=True)
 class MAExpansion:
-    """Truncated, unit-variance MA(inf) representation of one source.
-
-    Attributes
-    ----------
-    psi : ndarray
-        Weights (psi_0, ..., psi_N) normalized so that sum(psi**2) == 1
-        within 1e-12.
-    truncation_tol : float
-        Relative tail mass excluded by the truncation.
-    component_index : int
-        Position of this component within its source vector.
-    """
+    """Truncated MA(inf) weights (psi_0, ..., psi_N) of one source, normalized
+    to unit variance: sum(psi**2) == 1 within 1e-12."""
 
     psi: np.ndarray
-    truncation_tol: float
-    component_index: int = 0
 
     def __post_init__(self):
         total = float(np.sum(self.psi**2))
@@ -204,12 +186,7 @@ def _expand_filter(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
         n = min(2 * n, max_len)
 
 
-def expand_to_ma(
-    spec: SourceSpec,
-    tol: float = 1e-12,
-    max_len: int = 10**5,
-    component_index: int = 0,
-) -> MAExpansion:
+def expand_to_ma(spec: SourceSpec, tol: float = 1e-12, max_len: int = 10**5) -> MAExpansion:
     """Compute the truncated, unit-variance MA(inf) weights of a source.
 
     For AR/MA/ARMA kinds the weights start from psi_0 = 1 before
@@ -230,8 +207,7 @@ def expand_to_ma(
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     raw, norm = _expand_raw(spec, tol, max_len)
-    return MAExpansion(psi=raw / norm, truncation_tol=tol,
-                       component_index=component_index)
+    return MAExpansion(psi=raw / norm)
 
 
 class _Component(NamedTuple):

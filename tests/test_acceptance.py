@@ -87,9 +87,8 @@ def test_criterion_03_exact_recovery():
     q, r = np.linalg.qr(rng.standard_normal((4, 4)))
     o = q * np.sign(np.diag(r))
     diags = np.array([[0.9, 0.6, 0.3, 0.1], [0.5, -0.4, 0.2, -0.1]])
-    lagged = {k + 1: o @ np.diag(d) @ o.T for k, d in enumerate(diags)}
-    acs = AutocovSet(s0=np.eye(4), lagged=lagged, lags=(1, 2), T=1000,
-                     centered=False)
+    acs = AutocovSet(s0=np.eye(4), sk=np.stack([o @ np.diag(d) @ o.T for d in diags]),
+                     lags=(1, 2))
     for res in (amuse(acs, 1), sobi_deflation(acs),
                 sobi_symmetric_fixedpoint(acs), sobi_symmetric_jacobi(acs)):
         assert mdi(res.gamma @ o) < 1e-8, res.method
@@ -135,7 +134,7 @@ def test_criterion_06_white_noise_covariance_oracle():
 
 def test_criterion_07_unmixing_variance_oracle():
     specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ar", ar=(0.4,))]
-    exps = [expand_to_ma(s, component_index=i) for i, s in enumerate(specs)]
+    exps = [expand_to_ma(s) for s in specs]
     exact = asv_symmetric(build_model(exps, LAGS)).per_element[1, 0]
     T, reps = 20000, 2000
     entries = np.empty(reps)
@@ -184,8 +183,7 @@ def test_criterion_10_empirical_asv_plugin():
     acs = autocov_set(z, LAGS, centered=True)
     res = sobi_symmetric_jacobi(acs)
     emp = empirical_asv(z, res, LAGS).per_element
-    exps = [expand_to_ma(s, component_index=i)
-            for i, s in enumerate(benchmark_model("d"))]
+    exps = [expand_to_ma(s) for s in benchmark_model("d")]
     exact = asv_symmetric(build_model(exps, LAGS)).per_element
     off = ~np.eye(3, dtype=bool)
     rel = np.abs(emp[off] - exact[off]) / exact[off]

@@ -13,7 +13,6 @@ from sobikit.asymptotics import (
     empirical_asv,
     global_criterion,
     transform_general_mixing,
-    vlm,
 )
 from sobikit.autocovariance import autocov_set, sample_autocov
 from sobikit.joint_diag import sobi_symmetric_jacobi
@@ -34,8 +33,7 @@ FROZEN_GLOBAL = {
 
 
 def sorted_expansions(name, tol=1e-12):
-    exps = [expand_to_ma(s, tol=tol, component_index=i)
-            for i, s in enumerate(benchmark_model(name))]
+    exps = [expand_to_ma(s, tol=tol) for s in benchmark_model(name)]
 
     def strength(e):
         return sum(float(np.dot(e.psi[:-k], e.psi[k:])) ** 2
@@ -45,8 +43,7 @@ def sorted_expansions(name, tol=1e-12):
 
 
 def white_model(p, lags=(1, 2)):
-    exps = [expand_to_ma(SourceSpec("psi", psi=(1.0,)), component_index=i)
-            for i in range(p)]
+    exps = [expand_to_ma(SourceSpec("psi", psi=(1.0,))) for _ in range(p)]
     return build_model(exps, lags)
 
 
@@ -123,25 +120,6 @@ def test_build_model_validation():
         build_model(exps, (1,), beta=np.full((3, 3), 0.5))
 
 
-def test_vlm_scalar_case():
-    np.testing.assert_array_equal(vlm(np.array([[2.0]])), np.array([[2.0]]))
-
-
-def test_vlm_two_dimensional_structure():
-    v = vlm(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert v.shape == (4, 4)
-    assert v[0, 0] == 2.0
-    assert v[1, 2] == 1.0
-    # explicit commutation / diagonal-selector construction
-    e = np.eye(2)
-    k22 = sum(np.kron(np.outer(e[i], e[j]), np.outer(e[j], e[i]))
-              for i in range(2) for j in range(2))
-    d22 = np.diag(np.eye(2).flatten(order="F"))
-    d = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(
-        v, np.diag(d.flatten(order="F")) @ (k22 - d22 + np.eye(4)))
-
-
 def loop_vlm(d):
     """diag(vec d) (K_pp - D_pp + I) from explicit selector matrices."""
     p = d.shape[0]
@@ -155,14 +133,6 @@ def loop_vlm(d):
     return np.diag(d.flatten(order="F")) @ (k_pp - d_pp + np.eye(n))
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
-def test_vlm_equals_the_selector_matrix_product(p):
-    rng = np.random.default_rng(p)
-    for _ in range(5):
-        d = rng.standard_normal((p, p))
-        np.testing.assert_array_equal(vlm(d), loop_vlm(d))
-
-
 def test_vlm_matches_monte_carlo_vec_covariance():
     # empirical covariance of sqrt(T) vec(S_0) for bivariate white noise
     T, reps = 20000, 2000
@@ -172,7 +142,7 @@ def test_vlm_matches_monte_carlo_vec_covariance():
         x = rng.standard_normal((2, T))
         vecs[r] = sample_autocov(x, 0).flatten(order="F") * np.sqrt(T)
     emp = np.cov(vecs.T)
-    v00 = vlm(white_model(2).d[0, 0])
+    v00 = loop_vlm(white_model(2).d[0, 0])
     assert np.max(np.abs(emp - v00)) < 0.1 * np.max(np.abs(v00))
 
 
@@ -290,14 +260,13 @@ def test_build_model_sorts_into_estimator_order():
     # the strongest MA component of model "a" is listed first but the
     # second and third are out of criterion order; any listing gives the
     # tables of the sorted one, and row r is listed component order[r]
-    listed = [expand_to_ma(s, component_index=i)
-              for i, s in enumerate(benchmark_model("a"))]
+    listed = [expand_to_ma(s) for s in benchmark_model("a")]
     ref = build_model(sorted_expansions("a"), LAGS)
     assert ref.order == (0, 1, 2)
     for exps, order in ((listed, (0, 2, 1)), (listed[::-1], (2, 0, 1))):
         model = build_model(exps, LAGS)
         assert model.order == order
-        assert [e.component_index for e in model.expansions] == [0, 2, 1]
+        assert all(e is listed[i] for e, i in zip(model.expansions, (0, 2, 1)))
         for fn in (asv_deflation, asv_symmetric):
             np.testing.assert_array_equal(fn(model).per_element,
                                           fn(ref).per_element)
@@ -350,7 +319,7 @@ def test_trailing_white_component_is_allowed():
 
 
 def test_transform_identity_gamma_is_noop():
-    sigma = vlm(white_model(2).d[0, 0])
+    sigma = loop_vlm(white_model(2).d[0, 0])
     np.testing.assert_allclose(
         transform_general_mixing(sigma, np.eye(2)), sigma, atol=1e-14)
 
@@ -358,7 +327,7 @@ def test_transform_identity_gamma_is_noop():
 def test_transform_matches_explicit_kronecker():
     rng = np.random.default_rng(42)
     gamma = rng.uniform(-1, 1, size=(2, 2)) + 2 * np.eye(2)
-    sigma = vlm(white_model(2).d[0, 0])
+    sigma = loop_vlm(white_model(2).d[0, 0])
     out = transform_general_mixing(sigma, gamma, target="unmixing")
     ref = np.kron(gamma.T, np.eye(2)) @ sigma @ np.kron(gamma, np.eye(2))
     np.testing.assert_allclose(out, ref, atol=1e-12)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobikit.autocovariance import (
+    AutocovSet,
     _lag_product,
-    _whiten,
-    _whitened,
     autocorrelations,
     autocov_set,
     sample_autocov,
@@ -76,17 +75,18 @@ def test_autocov_set_counts_and_content():
     z = simulate_sources(benchmark_model("b"), T=2000, seed=4)
     acs = autocov_set(z, range(1, 11))
     assert acs.lags == tuple(range(1, 11))
-    assert len(acs.matrices()) == 11  # lag 0 plus the ten requested lags
-    np.testing.assert_array_equal(acs.matrices()[0], acs.s0)
-    np.testing.assert_array_equal(acs.matrices()[3], sample_autocov(z, 3))
-    assert acs.p == 3 and acs.T == 2000
+    assert acs.sk.shape == (10, 3, 3)  # the ten requested lags, in lag order
+    np.testing.assert_array_equal(acs.s0, sample_autocov(z, 0))
+    np.testing.assert_array_equal(acs.sk[2], sample_autocov(z, 3))
+    assert acs.p == 3
 
 
 def test_autocov_set_empty_lags():
     x = np.random.default_rng(5).standard_normal((2, 30))
     acs = autocov_set(x, ())
     assert acs.lags == ()
-    assert len(acs.matrices()) == 1
+    assert acs.sk.shape == (0, 2, 2)
+    assert autocorrelations(acs).shape == (0, 2, 2)
 
 
 def test_autocov_set_validation():
@@ -128,9 +128,7 @@ def test_whitener_rejects_non_positive_definite():
 
 def test_autocorrelations_diagonal_when_prewhitened():
     s_k = np.diag([0.7, 0.2])
-    acs_like = autocov_set(np.random.default_rng(7).standard_normal((2, 40)), (1,))
-    acs = type(acs_like)(s0=np.eye(2), lagged={1: s_k}, lags=(1,), T=40,
-                         centered=False)
+    acs = AutocovSet(s0=np.eye(2), sk=s_k[None], lags=(1,))
     np.testing.assert_allclose(autocorrelations(acs)[0], s_k, atol=1e-14)
 
 
@@ -140,10 +138,7 @@ def test_autocorrelations_eigenvalues_under_population_mixing():
     rng = np.random.default_rng(8)
     omega = rng.uniform(-1, 1, size=(3, 3)) + 2 * np.eye(3)
     lam = np.diag([0.8, 0.5, -0.3])
-    acs_like = autocov_set(rng.standard_normal((3, 40)), (1,))
-    acs = type(acs_like)(
-        s0=omega @ omega.T, lagged={1: omega @ lam @ omega.T},
-        lags=(1,), T=40, centered=False)
+    acs = AutocovSet(s0=omega @ omega.T, sk=(omega @ lam @ omega.T)[None], lags=(1,))
     evals = np.linalg.eigvalsh(autocorrelations(acs)[0])
     np.testing.assert_allclose(np.sort(evals), np.sort(np.diag(lam)), atol=1e-10)
 
@@ -157,8 +152,9 @@ def test_batched_kernels_round_like_the_one_series_arithmetic():
     lags = (1, 4, 9)
     s0 = _lag_product(x, 0)
     S = np.stack([_lag_product(x, k) for k in lags], axis=1)
-    W = _whiten(s0)
-    R = _whitened(W, S)
+    W = whitener(s0)
+    R = autocorrelations(AutocovSet(s0, S, lags), W)
+    np.testing.assert_array_equal(autocorrelations(AutocovSet(s0, S, lags)), R)
     T = x.shape[-1]
     for b, xb in enumerate(x):
         m = xb @ xb.T / T
@@ -178,4 +174,4 @@ def test_batched_kernels_round_like_the_one_series_arithmetic():
 def test_batched_whitening_rejects_a_block_with_one_singular_matrix():
     s0 = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
     with pytest.raises(ValueError, match="not positive definite"):
-        _whiten(s0)
+        whitener(s0)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_simulate_deterministic_and_round_trip(tmp_path):
                  "--output", out1]) == 0
     assert main(["simulate", "--model", model, "--T", "400", "--seed", "9",
                  "--output", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     # parsed matrix identical bit-for-bit to the in-process simulation
     specs = [SourceSpec.from_dict(c) for c in AR_TRIPLE]
     z = simulate_sources(specs, 400, 9)
@@ -69,7 +70,7 @@ def test_simulate_identity_mixing_is_noop(tmp_path):
                  "--output", out1]) == 0
     assert main(["simulate", "--model", mixed, "--T", "300", "--seed", "1",
                  "--mix", "--output", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_simulate_applies_mixing_and_location(tmp_path):
@@ -172,7 +173,7 @@ def test_asv_single_lag_finite(tmp_path, capsys):
     values = {ln.split(",")[0]: float(ln.split(",")[2]) for ln in lines}
     assert np.isfinite(values["deflation"]) and values["deflation"] > 0
     assert np.isfinite(values["symmetric"]) and values["symmetric"] > 0
-    rows = [ln for ln in open(out).read().splitlines()[1:] if ln]
+    rows = [ln for ln in Path(out).read_text().splitlines()[1:] if ln]
     # p = 3 per-element entries plus one global line per method
     assert len(rows) == 2 * (9 + 1)
 
@@ -362,7 +363,7 @@ def test_every_method_has_a_kernel_and_a_one_lag_asv():
                               "--T-values", "300"])
     lags, reps = (3, 1, 2), range(4, 6)
     acs = [autocov_set(simulate_sources(benchmark_model("d"), 600, rep), lags) for rep in reps]
-    R = np.stack([np.stack(autocorrelations(a)) for a in acs])
+    R = np.stack([autocorrelations(a) for a in acs])
     model = cli._exact_model(benchmark_model("d"), (1,))
     fits = {name: cli._METHODS[name][1](R, cli.joint_diag._start(lags), args, reps)
             for name in cli._METHODS}
@@ -455,6 +456,42 @@ def test_lag_stride_needs_a_range_and_a_positive_step(dataset, tmp_path, command
     assert captured.err.splitlines() == [f"error: lag item {item!r}: {reason}"]
 
 
+@pytest.mark.parametrize("command", ["asv", "separate", "lagselect", "benchmark"])
+@pytest.mark.parametrize("item, reason", [("a", "'a' is not an integer"),
+                                          ("1-x", "'x' is not an integer"),
+                                          ("1-3/x", "'x' is not an integer"),
+                                          ("1-2-3", "'2-3' is not an integer")])
+def test_unparsable_lag_item_is_named(dataset, tmp_path, command, item, reason, capsys):
+    assert main(lag_argv(command, f"2,{item}", dataset, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: lag item {item!r}: {reason}"]
+
+
+@pytest.mark.parametrize("option", ["--T-values", "--rows"])
+def test_unparsable_integer_option_is_named(dataset, option, capsys):
+    argv = {"--T-values": ["benchmark", "--preset", "b", "--lags", "1-3", "--reps", "2",
+                           "--T-values", "300,a"],
+            "--rows": ["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5",
+                       "--rows", "1,a"]}[option]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {option}: 'a' is not an integer"]
+
+
+# at most five digits keep every range the text can name short enough to build
+@given(st.text(st.sampled_from("0123456789-/, ab") | st.characters(), max_size=12)
+       .filter(lambda s: sum(c.isdigit() for c in s) <= 5))
+@settings(max_examples=300, deadline=None)
+def test_parse_lags_gives_ints_or_a_value_error(spec):
+    try:
+        lags = _parse_lags(spec)
+    except ValueError:
+        return
+    assert type(lags) is tuple and lags and all(type(k) is int for k in lags)
+
+
 @pytest.mark.parametrize("content", ["", "x1,x2,x3\n"])
 @pytest.mark.parametrize("command", ["separate", "lagselect"])
 def test_empty_data_file_is_one_error_line(tmp_path, content, command, capsys):
@@ -483,17 +520,17 @@ def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
     monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_reps * 8 * len(specs) * sum(t_values))
     mats = cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps, seed)
     assert sorted(mats) == sorted(t_values)
-    for T, (s0, S) in mats.items():
-        W = cli.autocovariance._whiten(s0)
-        R = cli.autocovariance._whitened(W, S)
-        assert S.shape == (len(reps), len(lags), 3, 3)
+    for T, block in mats.items():
+        W = whitener(block.s0)
+        R = autocorrelations(block, W)
+        assert block.lags == lags and block.sk.shape == (len(reps), len(lags), 3, 3)
         for b, rep in enumerate(reps):
             acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
             w = whitener(acs.s0)
-            np.testing.assert_array_equal(s0[b], acs.s0)
-            np.testing.assert_array_equal(S[b], np.stack([acs.lagged[k] for k in lags]))
+            np.testing.assert_array_equal(block.s0[b], acs.s0)
+            np.testing.assert_array_equal(block.sk[b], acs.sk)
             np.testing.assert_array_equal(W[b], w)
-            np.testing.assert_array_equal(R[b], np.stack(autocorrelations(acs, w)))
+            np.testing.assert_array_equal(R[b], autocorrelations(acs, w))
 
 
 def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys):
@@ -577,7 +614,7 @@ def test_lagselect_row_subset_and_output(dataset, tmp_path, capsys):
     assert main(["lagselect", "--data", dataset, "--lag-sets",
                  "1-5;1-10,12-20/2", "--rows", "1,2", "--output", out]) == 0
     capsys.readouterr()
-    body = open(out).read().splitlines()
+    body = Path(out).read_text().splitlines()
     assert body[0] == "rank,lags,row_variance_sum"
     assert len(body) == 3
 

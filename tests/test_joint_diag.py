@@ -30,15 +30,13 @@ ALL_SOLVERS = (
 )
 
 
-def planted_acs(diags, rotation=None, T=1000):
+def planted_acs(diags, rotation=None):
     """AutocovSet whose whitened lag matrices are exactly O diag O'."""
     diags = np.asarray(diags, dtype=float)
     p = diags.shape[1]
     o = np.eye(p) if rotation is None else rotation
-    lagged = {k + 1: o @ np.diag(d) @ o.T for k, d in enumerate(diags)}
-    return AutocovSet(s0=np.eye(p), lagged=lagged,
-                      lags=tuple(range(1, diags.shape[0] + 1)), T=T,
-                      centered=False)
+    sk = np.stack([o @ np.diag(d) @ o.T for d in diags])
+    return AutocovSet(s0=np.eye(p), sk=sk, lags=tuple(range(1, diags.shape[0] + 1)))
 
 
 def random_rotation(p, seed):
@@ -301,7 +299,7 @@ def test_jacobi_reports_sweep_exhaustion():
 
 
 def lag_stack(acs):
-    return np.stack(autocorrelations(acs, whitener(acs.s0)))
+    return autocorrelations(acs, whitener(acs.s0))
 
 
 @pytest.mark.parametrize("options", [{}, {"max_iter": 3}, {"restarts": 0}])

@@ -112,14 +112,14 @@ def test_explicit_psi_alias():
 
 def test_spec_dict_round_trip():
     spec = SourceSpec("arma", ar=(0.2,), ma=(0.4, -0.1))
-    assert SourceSpec.from_dict(spec.to_dict()) == spec
+    assert SourceSpec.from_dict({"kind": "arma", "ar": [0.2], "ma": [0.4, -0.1]}) == spec
 
 
 def test_expansion_requires_normalized_weights():
     with pytest.raises(ValueError, match="not normalized"):
-        MAExpansion(psi=np.array([1.0, 1.0]), truncation_tol=1e-12)
+        MAExpansion(psi=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="not normalized"):
-        MAExpansion(psi=np.array([1.0, np.nan]), truncation_tol=1e-12)
+        MAExpansion(psi=np.array([1.0, np.nan]))
 
 
 def test_white_noise_simulation_is_the_raw_draws():
