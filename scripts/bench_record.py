@@ -11,9 +11,11 @@ traced ``--traced`` times on each side.  The change is this checkout's
 working tree; the parent is ``git archive`` of the given revision, unpacked
 into a temporary directory, and each side runs its own ``perfbench/``.
 Every run is a subprocess whose ``perfbench:`` header, metric lines and
-``perfbench-detail:`` line are parsed.  The file written holds the commits,
-the machine, every run's end-to-end metrics with each side's median and
-quartiles, the number of pairs the change won, and each side's median
+``perfbench-detail:`` line are parsed, and the 1, 5 and 15 minute load
+averages (``os.getloadavg``) are read just before and just after it.  The
+file written holds the commits, the machine, every run's end-to-end metrics
+with each side's median and quartiles, the load averages around each
+untraced run, the number of pairs the change won, and each side's median
 per-layer metrics; the first op of each process (cold start) is kept apart.
 """
 
@@ -66,11 +68,13 @@ def parse_run(text: str) -> dict:
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    load_before = os.getloadavg()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=10 * seconds + 600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr.strip()}")
-    return parse_run(proc.stdout)
+    return {**parse_run(proc.stdout), "loadavg": {"before": load_before,
+                                                  "after": os.getloadavg()}}
 
 
 def spread(values: list[float]) -> dict:
@@ -100,6 +104,7 @@ def compare(workload: str, seed: int, pairs: int, traced: int, seconds: float,
            "attempted": {s: sum(r["attempted"] for r in runs[s] + traces[s]) for s in trees},
            "cold_first_op_s": {s: statistics.median(r["detail"]["cold_first_op_s"]
                                                     for r in runs[s]) for s in trees},
+           "loadavg": {s: [r["loadavg"] for r in runs[s]] for s in trees},
            "end_to_end": {}, "per_layer": {}}
     for name, better in declared.items():
         vals = {s: [r["metrics"][name] for r in runs[s]] for s in trees}

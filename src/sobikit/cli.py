@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -111,8 +112,7 @@ def _read_series(path: str) -> np.ndarray:
     return data.T
 
 
-def _fit(x, lags, args):
-    acs = autocov_set(x, lags, centered=not args.no_center)
+def _fit(acs, args):
     return _METHODS[args.method][0](acs, joint_diag._start(acs.lags), args)
 
 
@@ -137,7 +137,7 @@ def cmd_separate(args) -> int:
     _check_solver_options(args)
     x = _read_series(args.data)
     lags = _parse_lags(args.lags)
-    result = _fit(x, lags, args)
+    result = _fit(autocov_set(x, lags, centered=not args.no_center), args)
     z = result.gamma @ (x - x.mean(axis=1, keepdims=True)
                         if not args.no_center else x)
     _write_series(args.output + ".csv", z, args.header)
@@ -311,10 +311,23 @@ def cmd_lagselect(args) -> int:
     if any(not 1 <= r <= p for r in rows):
         raise ValueError(f"--rows must lie in 1..{p}")
     rows_sel = np.asarray(rows) - 1
+    x = autocovariance._as_series(x)
+    T = x.shape[1]
+    lag_sets = [autocovariance._check_lags(lags, T) for lags in lag_sets]
+    # one pass over the data: the lag matrices of every set's fit, and the
+    # centred sequence to the longest plug-in horizon, which each set reads
+    # a prefix of (12 times its largest lag by default)
+    acs = autocov_set(x, sorted(set().union(*lag_sets)), centered=not args.no_center)
+    where = {k: a for a, k in enumerate(acs.lags)}
+    horizons = [max(0, min(12 * max(lags) if args.kmax is None else args.kmax, T - 2))
+                for lags in lag_sets]
+    seq = autocovariance.autocov_sequence(x, max(horizons), centered=True)
     scored = []
-    for lags in lag_sets:
-        result = _fit(x, lags, args)
-        table = asymptotics.empirical_asv(x, result, lags, kmax=args.kmax)
+    for lags, kmax in zip(lag_sets, horizons):
+        result = _fit(autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags),
+                      args)
+        prefix = autocovariance.AutocovSet(seq.s0, seq.sk[:kmax], seq.lags[:kmax])
+        table = asymptotics.empirical_asv(prefix, result, lags)
         score = float(table.row_sums()[rows_sel].sum())
         scored.append((score, lags))
     scored.sort(key=lambda t: t[0])
@@ -359,6 +372,9 @@ def _add_fit_options(sp):
                     help="skip mean removal (data already centered)")
 
 
+# one parser per process: building it costs dozens of parses, and parse_args
+# leaves it as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sobikit",
@@ -415,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lag-sets", required=True,
                     help="semicolon-separated lag lists or preset names")
     sp.add_argument("--rows", help="1-based source rows to score (default all)")
-    sp.add_argument("--kmax", type=int, default=None)
+    sp.add_argument("--kmax", type=int, default=None,
+                    help="plug-in horizon (default: 12 times the set's largest lag, "
+                         "at most T - 2)")
     sp.add_argument("--output")
     _add_fit_options(sp)
     sp.set_defaults(func=cmd_lagselect)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobikit import cli
+from sobikit import asymptotics, cli
 from sobikit.asymptotics import asv, global_criterion
 from sobikit.autocovariance import autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
@@ -667,3 +668,159 @@ def test_benchmark_warns_when_no_exact_asv(tmp_path, capsys):
         "warning: deflation: no exact ASV (identifiability failure)",
         "warning: symmetric-jacobi: no exact ASV (pairwise identifiability failure)",
     ]
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr lines) of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def x_plugin(x, result, lags, kmax):
+    """The plug-in table of the recovered sources z = Gamma (x - mean), lag by lag."""
+    p, T = x.shape
+    z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
+    acov = np.array([[z[i, : T - k] @ z[i, k:] / (T - k) for k in range(kmax + 1)]
+                     for i in range(p)])
+    d = asymptotics._d_tensor(acov / acov[:, :1], lags, np.eye(p) * 2.0 + 1.0,
+                              np.zeros((0, p, p)))
+    return asymptotics._asv_table(*d, asymptotics._FORMULAS[result.method])
+
+
+@pytest.mark.parametrize("method", ["symmetric-jacobi", "deflation"])
+@pytest.mark.parametrize("kmax", [None, 150])
+def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
+    # every set fitted on its own autocov_set and scored on its own
+    # recovered sources, with the default horizon 12 x its largest lag
+    sets = "1-5;1-10;2,4,8;preset2"
+    argv = ["lagselect", "--data", dataset, "--lag-sets", sets, "--method", method]
+    argv += [] if kmax is None else ["--kmax", str(kmax)]
+    code, out, err = run_main(argv)
+    assert (code, err) == (0, [])
+    printed = [line.split(",") for line in out.strip().splitlines()]
+    args = cli.build_parser().parse_args(argv)
+    x = _read_series(dataset)
+    expected = []
+    for spec in sets.split(";"):
+        lags = _parse_lags(spec)
+        acs = autocov_set(x, lags, centered=True)
+        result = cli._METHODS[method][0](acs, cli.joint_diag._start(lags), args)
+        table = x_plugin(x, result, lags, 12 * max(lags) if kmax is None else kmax)
+        expected.append((float(table.row_sums().sum()), " ".join(map(str, lags))))
+    expected.sort()
+    assert [r[1] for r in printed] == [lags for _, lags in expected]
+    np.testing.assert_allclose([float(r[2]) for r in printed],
+                               [score for score, _ in expected], rtol=1e-12)
+
+
+@pytest.mark.parametrize("sets, message", [
+    ("1-3;1,2,2", "duplicate lags"),
+    ("1-3;0,1", "lags must be positive"),
+    ("1-3;1,7999", "lag out of range"),
+    ("1,1;0", "duplicate lags"),
+])
+def test_lagselect_checks_each_set_on_its_own(dataset, sets, message):
+    # T = 8000, so lag 7999 is past T - 2; the first bad set is named
+    code, out, err = run_main(["lagselect", "--data", dataset, "--lag-sets", sets])
+    assert (code, out, err) == (1, "", [f"error: {message}"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["asv", "--preset", "d", "--lags", "1-5000"],
+    ["benchmark", "--preset", "d", "--lags", "1-5000", "--reps", "1", "--T-values", "100"],
+])
+def test_d_tensor_over_the_bound_is_one_error_line(argv):
+    # 5001^2 * 9 doubles would be 1.7 GiB; the check comes before any of it
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == ["error: 5000 lags need a 1717 MiB D tensor, over the 256 MiB bound"]
+    assert peak < 16 << 20
+
+
+def test_lagselect_d_tensor_over_the_bound_is_one_error_line(dataset, monkeypatch):
+    # the plug-in builds the same D: with room for 5 lags, a 6-lag set fails
+    monkeypatch.setattr(asymptotics, "_D_MAX_BYTES", 8 * 6**2 * 9)
+    assert run_main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5"])[0] == 0
+    code, out, err = run_main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1-6"])
+    assert (code, out, err) == (1, "", ["error: 6 lags need a 0 MiB D tensor, "
+                                        "over the 0 MiB bound"])
+
+
+def test_cached_parser_gives_what_a_fresh_one_gives(dataset, tmp_path):
+    # subcommands and options alternate, so state left on the one parser by
+    # a call would show in a later one
+    argvs = [
+        ["asv", "--preset", "d", "--lags", "1-3", "--method", "symmetric"],
+        ["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5", "--rows", "2"],
+        ["asv", "--preset", "c", "--lags", "1-3"],
+        ["lagselect", "--data", dataset, "--lag-sets", "1;2", "--method", "amuse"],
+        ["separate", "--data", dataset, "--lags", "1-4", "--no-center",
+         "--output", str(tmp_path / "s")],
+        ["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5"],
+        ["benchmark", "--preset", "d", "--lags", "1-2", "--reps", "2", "--T-values", "200",
+         "--methods", "amuse"],
+        ["asv", "--preset", "d", "--lags", "1-3", "--method", "bogus"],
+        ["asv", "--preset", "d", "--lags", "1-3"],
+    ]
+    cli.build_parser.cache_clear()
+    assert cli.build_parser() is cli.build_parser()
+    warm = [run_main(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_main(argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [0, 0, 0, 0, 0, 0, 0, 2, 0]
+    for argv in argvs[:-2]:
+        assert (vars(cli.build_parser().parse_args(argv))
+                == vars(cli.build_parser.__wrapped__().parse_args(argv)))
+
+
+BAD_CELLS = ["nan", "inf", "-inf", "NaN", "1e400", "abc", "", " ", "1e", "--1", "0x1",
+             '"1"', "#", "x1"]
+
+
+@st.composite
+def data_csv(draw):
+    """A numeric table of 0-8 time points and 1-3 series, with up to three
+    defects: a bad cell, an extra cell or a missing one (a ragged row)."""
+    cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=cols,
+                                  max_size=cols), max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["cell", "extra", "short"]))
+        if kind == "short":
+            row[-1:] = []
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(["0.5", *BAD_CELLS])))
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(BAD_CELLS))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["separate", "lagselect"])
+@given(text=data_csv())
+@settings(max_examples=150, deadline=None)
+def test_data_csv_fuzz_exits_cleanly(tmp_path_factory, command, text):
+    root = tmp_path_factory.getbasetemp()
+    data = root / "fuzzed-data.csv"
+    data.write_text(text)
+    argv = {"separate": ["separate", "--data", str(data), "--lags", "1",
+                         "--output", str(root / "fuzzed-sep")],
+            "lagselect": ["lagselect", "--data", str(data), "--lag-sets", "1;2"]}[command]
+    code, out, err = run_main(argv)
+    if code == 0:
+        assert err == []
+    else:
+        assert code == 1 and out == "" and len(err) == 1 and err[0].startswith("error:")

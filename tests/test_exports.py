@@ -16,3 +16,13 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["autocovariance", "asymptotics", "metrics", "presets",
+                                  "signal_model"])
+def test_package_reexports_the_module_api(name):
+    # joint_diag keeps its block kernels to itself; cli exports nothing
+    module = importlib.import_module(f"sobikit.{name}")
+    for export in module.__all__:
+        assert export in sobikit.__all__
+        assert getattr(sobikit, export) is getattr(module, export)
