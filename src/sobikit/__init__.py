@@ -9,7 +9,6 @@ and performance indices for comparing unmixing estimates.
 from .autocovariance import (
     AutocovSet,
     autocorrelations,
-    autocov_sequence,
     autocov_set,
     sample_autocov,
     whitener,
@@ -62,7 +61,6 @@ __all__ = [
     "asv_deflation",
     "asv_symmetric",
     "autocorrelations",
-    "autocov_sequence",
     "autocov_set",
     "benchmark_model",
     "build_model",

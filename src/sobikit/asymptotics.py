@@ -16,8 +16,8 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
+from scipy import fft as sp_fft
 
-from .autocovariance import AutocovSet
 from .joint_diag import UnmixingResult
 from .signal_model import MAExpansion
 
@@ -340,42 +340,53 @@ def transform_general_mixing(sigma: np.ndarray, gamma: np.ndarray,
 
 
 def empirical_asv(
-    acs: AutocovSet,
+    x: np.ndarray,
     result: UnmixingResult,
     lags: Sequence[int],
+    kmax: int | None = None,
     method: str | None = None,
 ) -> ASVTable:
-    """Plug-in ASV estimate from the data's autocovariance sequence.
+    """Plug-in ASV estimate from recovered sources.
 
-    ``acs`` holds S_0 and S_k at every lag 1..kmax of the centred data x,
-    as ``autocov_sequence(x, kmax, centered=True)`` gives them.  Each
-    recovered component z_i = gamma_i' x has autocorrelations rho_i(k) =
-    (Gamma S_k Gamma')_ii / (Gamma S_0 Gamma')_ii up to kmax, zero beyond,
-    so one pass over the data serves every fit.  The ASV formulas are then
-    evaluated under independent normal innovations, for which every
-    required D_lm entry is a function of the autocorrelation sequences
-    alone.  This is the Table-2-style workflow: ``row_sums`` of the
-    returned table rank candidate lag sets.
+    Recovers z = Gamma x, estimates each component's autocorrelation
+    sequence up to ``kmax`` (default 12 times the largest analysis lag,
+    zero beyond), and evaluates the ASV formulas under independent normal
+    innovations, for which every required D_lm entry is a function of the
+    autocorrelation sequences alone.  This is the Table-2-style workflow:
+    ``row_sums`` of the returned table rank candidate lag sets.
+
+    Lag-k autocovariances use the divisor T - k and are scaled by the lag-0
+    one (divisor T).  All lags of a component come from one real FFT of the
+    series zero-padded to at least T + kmax points, so the cost is
+    O(T log T) per component rather than O(T kmax); the autocorrelations
+    then feed the same D_lm kernel as the exact tables.
 
     ``method`` (default ``result.method``) picks the formulas as ``asv``
     does: deflation, or symmetric for ``"symmetric"``, both symmetric
     solvers and, on exactly one lag, ``"amuse"``.  Any other method raises
-    ``ValueError``, and so does a horizon kmax below the largest lag.
+    ``ValueError``.
     """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
     if not lags or any(k <= 0 for k in lags):
         raise ValueError("lags must be positive and non-empty")
     formulas = _formulas(result.method if method is None else method, lags)
-    kmax = len(acs.lags)
-    if tuple(acs.lags) != tuple(range(1, kmax + 1)):
-        raise ValueError("the plug-in needs S_k at every lag 1..kmax (autocov_sequence)")
+    if kmax is None:
+        kmax = 12 * max(lags)
+    p, T = x.shape
+    kmax = min(kmax, T - 2)
     if kmax < max(lags):
         raise ValueError("horizon too small")
 
-    g = result.gamma
-    p = g.shape[0]
-    # (Gamma S_k Gamma')_ii = gamma_i' S_k gamma_i at k = 0, 1, ..., kmax
-    acov = ((g @ np.concatenate([acs.s0[None], acs.sk])) * g).sum(axis=-1).T
+    z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
+    # one row at a time: a (p, nfft) transform would raise the peak memory
+    nfft = sp_fft.next_fast_len(T + kmax, real=True)
+    divisor = T - np.arange(kmax + 1)
+    rho = np.empty((p, kmax + 1))
+    for i in range(p):
+        spec = sp_fft.rfft(z[i], nfft)
+        acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
+        rho[i] = (acov / divisor) / (acov[0] / T)
+    rho[:, 0] = 1.0
     # beta_ij = 1 off the diagonal drops the F_l cross term: no F_k is needed
-    return _asv_table(*_d_tensor(acov / acov[:, :1], lags, _normal_beta(p),
-                                 np.zeros((0, p, p))), formulas)
+    return _asv_table(*_d_tensor(rho, lags, _normal_beta(p), np.zeros((0, p, p))), formulas)

@@ -11,10 +11,8 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
-__all__ = ["AutocovSet", "sample_autocov", "autocov_set", "autocov_sequence", "whitener",
-           "autocorrelations"]
+__all__ = ["AutocovSet", "sample_autocov", "autocov_set", "whitener", "autocorrelations"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,37 +101,6 @@ def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
     for a, k in enumerate(lags):
         sk[a] = _lag_product(x, k)
     return AutocovSet(s0=_lag_product(x, 0), sk=sk, lags=lags)
-
-
-def autocov_sequence(x, kmax: int, centered: bool = False) -> AutocovSet:
-    """S_0 and S_k at every lag 1..kmax, from one FFT pass over the series.
-
-    Each row is transformed once, zero-padded to at least T + kmax points so
-    that no circular lag folds onto 0..kmax.  Each unordered row pair (a, b)
-    then takes one inverse transform y of X_a conj(X_b), whose y[k] and
-    y[nfft - k] are the two cross-product sums at lag k, so S_k[a, b] =
-    (y[k] + y[nfft - k]) / (2(T - k)).  The cost is O(p^2 T log T) against
-    O(p^2 T kmax) for ``autocov_set`` on the same lags; the matrices agree
-    up to rounding.
-    """
-    x = _as_series(x)
-    p, T = x.shape
-    kmax = int(kmax)
-    if not 0 <= kmax <= T - 2:
-        raise ValueError(f"lag {kmax} out of range for T = {T}")
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    nfft = sp_fft.next_fast_len(T + kmax, real=True)
-    spec = [sp_fft.rfft(row, nfft) for row in x]
-    back = -np.arange(kmax + 1)  # y[nfft - k], and y[0] at k = 0
-    s = np.empty((kmax + 1, p, p))
-    # one pair at a time: a stacked (p(p+1)/2, nfft) transform raises the peak memory
-    for a in range(p):
-        for b in range(a, p):
-            y = sp_fft.irfft(spec[a] * spec[b].conj(), nfft)
-            s[:, a, b] = s[:, b, a] = y[: kmax + 1] + y[back]
-    s /= 2.0 * (T + back)[:, None, None]
-    return AutocovSet(s0=s[0], sk=s[1:], lags=tuple(range(1, kmax + 1)))
 
 
 def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:

@@ -312,22 +312,16 @@ def cmd_lagselect(args) -> int:
         raise ValueError(f"--rows must lie in 1..{p}")
     rows_sel = np.asarray(rows) - 1
     x = autocovariance._as_series(x)
-    T = x.shape[1]
-    lag_sets = [autocovariance._check_lags(lags, T) for lags in lag_sets]
-    # one pass over the data: the lag matrices of every set's fit, and the
-    # centred sequence to the longest plug-in horizon, which each set reads
-    # a prefix of (12 times its largest lag by default)
+    lag_sets = [autocovariance._check_lags(lags, x.shape[1]) for lags in lag_sets]
+    # one autocov_set over the union of the sets' lags serves every fit:
+    # each set's fit reads its own S_k from it
     acs = autocov_set(x, sorted(set().union(*lag_sets)), centered=not args.no_center)
     where = {k: a for a, k in enumerate(acs.lags)}
-    horizons = [max(0, min(12 * max(lags) if args.kmax is None else args.kmax, T - 2))
-                for lags in lag_sets]
-    seq = autocovariance.autocov_sequence(x, max(horizons), centered=True)
     scored = []
-    for lags, kmax in zip(lag_sets, horizons):
+    for lags in lag_sets:
         result = _fit(autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags),
                       args)
-        prefix = autocovariance.AutocovSet(seq.s0, seq.sk[:kmax], seq.lags[:kmax])
-        table = asymptotics.empirical_asv(prefix, result, lags)
+        table = asymptotics.empirical_asv(x, result, lags, kmax=args.kmax)
         score = float(table.row_sums()[rows_sel].sum())
         scored.append((score, lags))
     scored.sort(key=lambda t: t[0])
@@ -432,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="semicolon-separated lag lists or preset names")
     sp.add_argument("--rows", help="1-based source rows to score (default all)")
     sp.add_argument("--kmax", type=int, default=None,
-                    help="plug-in horizon (default: 12 times the set's largest lag, "
-                         "at most T - 2)")
+                    help="plug-in horizon, capped at T - 2 (default: 12 times the "
+                         "set's largest lag)")
     sp.add_argument("--output")
     _add_fit_options(sp)
     sp.set_defaults(func=cmd_lagselect)

@@ -14,7 +14,7 @@ from sobikit.asymptotics import (
     global_criterion,
     transform_general_mixing,
 )
-from sobikit.autocovariance import AutocovSet, autocov_sequence, autocov_set, sample_autocov
+from sobikit.autocovariance import autocov_set, sample_autocov
 from sobikit.joint_diag import sobi_symmetric_jacobi
 from sobikit.presets import benchmark_model
 from sobikit.signal_model import SourceSpec, expand_to_ma, simulate_sources
@@ -102,8 +102,7 @@ def test_d_tensor_runs_once_per_model(monkeypatch):
         asv(model, method)
     assert len(calls) == 1
     x = simulate_sources(benchmark_model("c"), T=500, seed=1)
-    empirical_asv(autocov_sequence(x, 12 * max(LAGS), centered=True),
-                  sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
+    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
     assert len(calls) == 2
 
 
@@ -353,8 +352,7 @@ def test_empirical_asv_close_to_exact_for_ar1_model():
     lags = LAGS
     acs = autocov_set(z, lags, centered=True)
     res = sobi_symmetric_jacobi(acs)
-    emp = empirical_asv(autocov_sequence(z, 12 * max(lags), centered=True), res,
-                        lags).per_element
+    emp = empirical_asv(z, res, lags).per_element
     exact = asv_symmetric(build_model(sorted_expansions("d"), lags)).per_element
     off = ~np.eye(3, dtype=bool)
     assert np.max(np.abs(emp[off] - exact[off]) / exact[off]) < 0.3
@@ -369,45 +367,23 @@ def test_empirical_asv_duplicate_structure_rejected():
                     (1, 2, 3), centered=True))
     dummy = dataclasses.replace(res, gamma=np.eye(2))
     with pytest.raises(ValueError, match="identifiability failure"):
-        empirical_asv(autocov_sequence(x, 36, centered=True), dummy, (1, 2, 3))
+        empirical_asv(x, dummy, (1, 2, 3))
 
 
 def test_empirical_asv_validation():
     x = np.random.default_rng(6).standard_normal((2, 100))
     res = sobi_symmetric_jacobi(autocov_set(x, (1,), centered=True))
-    seq = autocov_sequence(x, 12, centered=True)
     with pytest.raises(ValueError, match="positive"):
-        empirical_asv(seq, res, ())
+        empirical_asv(x, res, ())
     with pytest.raises(ValueError, match="horizon too small"):
-        empirical_asv(autocov_sequence(x, 10, centered=True), res, (50,))
+        empirical_asv(x, res, (50,), kmax=10)
     with pytest.raises(ValueError, match="no ASV for method 'jade'"):
-        empirical_asv(seq, res, (1,), method="jade")
+        empirical_asv(x, res, (1,), method="jade")
     # amuse is scored on its one lag only, with the symmetric formulas
     with pytest.raises(ValueError, match="tau"):
-        empirical_asv(autocov_sequence(x, 24, centered=True),
-                      dataclasses.replace(res, method="amuse"), (1, 2))
-    np.testing.assert_array_equal(empirical_asv(seq, res, (1,), method="amuse").per_element,
-                                  empirical_asv(seq, res, (1,)).per_element)
-
-
-def test_empirical_asv_needs_every_lag_up_to_its_horizon():
-    x = np.random.default_rng(6).standard_normal((2, 100))
-    res = sobi_symmetric_jacobi(autocov_set(x, (1, 2), centered=True))
-    seq = autocov_sequence(x, 12, centered=True)
-    gaps = (AutocovSet(seq.s0, seq.sk[1:], seq.lags[1:]),
-            AutocovSet(seq.s0, seq.sk[[0, 2]], (1, 3)),
-            AutocovSet(seq.s0, seq.sk[::-1], seq.lags[::-1]),
-            autocov_set(x, (1, 2, 4), centered=True))
-    for acs in gaps:
-        with pytest.raises(ValueError, match="every lag 1..kmax"):
-            empirical_asv(acs, res, (1, 2))
-    # a prefix of the sequence is the sequence to a shorter horizon, up to
-    # the rounding of a different transform length
-    prefix = AutocovSet(seq.s0, seq.sk[:5], seq.lags[:5])
-    np.testing.assert_allclose(
-        empirical_asv(prefix, res, (1, 2)).per_element,
-        empirical_asv(autocov_sequence(x, 5, centered=True), res, (1, 2)).per_element,
-        rtol=1e-12)
+        empirical_asv(x, dataclasses.replace(res, method="amuse"), (1, 2))
+    np.testing.assert_array_equal(empirical_asv(x, res, (1,), method="amuse").per_element,
+                                  empirical_asv(x, res, (1,)).per_element)
 
 
 def test_d_tensor_size_is_bounded(monkeypatch):
@@ -489,8 +465,7 @@ def test_empirical_asv_matches_direct_formulas(lags):
     x = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]]) @ z
     res = sobi_symmetric_jacobi(autocov_set(x, lags, centered=True))
     for method in ("deflation", "symmetric"):
-        table = empirical_asv(autocov_sequence(x, 12 * max(lags), centered=True), res, lags,
-                              method=method)
+        table = empirical_asv(x, res, lags, method=method)
         assert table.method == method
         np.testing.assert_allclose(
             table.per_element,

@@ -7,7 +7,6 @@ from sobikit.autocovariance import (
     AutocovSet,
     _lag_product,
     autocorrelations,
-    autocov_sequence,
     autocov_set,
     sample_autocov,
     whitener,
@@ -104,33 +103,6 @@ def test_autocov_set_validation():
         sample_autocov(np.array([[1.0, np.nan, 0.0]]), 1)
     with pytest.raises(ValueError, match="at least"):
         sample_autocov(np.array([[1.0]]), 0)
-
-
-@pytest.mark.parametrize("p, T, kmax", [(1, 40, 38), (3, 40, 38), (1, 300, 60),
-                                         (3, 300, 60), (3, 301, 0)])
-@pytest.mark.parametrize("centered", [False, True])
-def test_autocov_sequence_matches_autocov_set(p, T, kmax, centered):
-    # kmax = T - 2 is the wrap-around edge: the padded transform must keep
-    # lag -(T - 1) off lag kmax; an offset keeps the uncentred sums uncentred
-    rng = np.random.default_rng(T + p)
-    x = rng.uniform(-1, 1, (p, p)) @ rng.standard_normal((p, T)).cumsum(axis=1) + 2.0
-    seq = autocov_sequence(x, kmax, centered)
-    ref = autocov_set(x, range(1, kmax + 1), centered)
-    assert seq.lags == ref.lags == tuple(range(1, kmax + 1))
-    assert seq.sk.shape == (kmax, p, p)
-    np.testing.assert_array_equal(seq.sk, seq.sk.mT)
-    scale = np.linalg.norm(ref.s0)
-    assert np.max(np.abs(seq.s0 - ref.s0)) <= 1e-12 * scale
-    assert np.max(np.abs(seq.sk - ref.sk), initial=0.0) <= 1e-12 * scale
-
-
-def test_autocov_sequence_validation():
-    x = np.random.default_rng(6).standard_normal((2, 30))
-    for kmax in (-1, 29):
-        with pytest.raises(ValueError, match=f"lag {kmax} out of range for T = 30"):
-            autocov_sequence(x, kmax)
-    with pytest.raises(ValueError, match="non-finite"):
-        autocov_sequence(np.array([[1.0, np.inf, 0.0]]), 1)
 
 
 def test_whitener_inverts_covariance():

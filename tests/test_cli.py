@@ -681,28 +681,16 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue().splitlines()
 
 
-def x_plugin(x, result, lags, kmax):
-    """The plug-in table of the recovered sources z = Gamma (x - mean), lag by lag."""
-    p, T = x.shape
-    z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
-    acov = np.array([[z[i, : T - k] @ z[i, k:] / (T - k) for k in range(kmax + 1)]
-                     for i in range(p)])
-    d = asymptotics._d_tensor(acov / acov[:, :1], lags, np.eye(p) * 2.0 + 1.0,
-                              np.zeros((0, p, p)))
-    return asymptotics._asv_table(*d, asymptotics._FORMULAS[result.method])
-
-
 @pytest.mark.parametrize("method", ["symmetric-jacobi", "deflation"])
 @pytest.mark.parametrize("kmax", [None, 150])
 def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
     # every set fitted on its own autocov_set and scored on its own
-    # recovered sources, with the default horizon 12 x its largest lag
+    # recovered sources: the one union autocov_set changes no bit
     sets = "1-5;1-10;2,4,8;preset2"
     argv = ["lagselect", "--data", dataset, "--lag-sets", sets, "--method", method]
     argv += [] if kmax is None else ["--kmax", str(kmax)]
     code, out, err = run_main(argv)
     assert (code, err) == (0, [])
-    printed = [line.split(",") for line in out.strip().splitlines()]
     args = cli.build_parser().parse_args(argv)
     x = _read_series(dataset)
     expected = []
@@ -710,12 +698,11 @@ def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
         lags = _parse_lags(spec)
         acs = autocov_set(x, lags, centered=True)
         result = cli._METHODS[method][0](acs, cli.joint_diag._start(lags), args)
-        table = x_plugin(x, result, lags, 12 * max(lags) if kmax is None else kmax)
+        table = asymptotics.empirical_asv(x, result, lags, kmax=kmax)
         expected.append((float(table.row_sums().sum()), " ".join(map(str, lags))))
     expected.sort()
-    assert [r[1] for r in printed] == [lags for _, lags in expected]
-    np.testing.assert_allclose([float(r[2]) for r in printed],
-                               [score for score, _ in expected], rtol=1e-12)
+    assert out.splitlines() == [f"{rank},{lags},{score:.17g}"
+                                for rank, (score, lags) in enumerate(expected, start=1)]
 
 
 @pytest.mark.parametrize("sets, message", [
