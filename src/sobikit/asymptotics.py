@@ -85,9 +85,9 @@ class AsymptoticModel:
     d: np.ndarray
     order: tuple[int, ...]
 
-    @property
-    def p(self) -> int:
-        return len(self.expansions)
+
+class _NegativeASV(ValueError):
+    """An ASV table with a negative entry: its D tensor is not a covariance."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +106,7 @@ class ASVTable:
         if not np.all(np.isfinite(pe)):
             raise ValueError("ASV entries must be finite")
         if pe.min() < -1e-9:
-            raise ValueError("negative ASV entry; inconsistent model")
+            raise _NegativeASV("negative ASV entry; inconsistent model")
         object.__setattr__(self, "per_element", np.maximum(pe, 0.0))
 
     def row_sums(self) -> np.ndarray:
@@ -300,8 +300,8 @@ def asv(model: AsymptoticModel, method: str) -> ASVTable:
     law (Miettinen, Nordhausen, Oja & Taskinen, Stat. Probab. Lett. 82,
     2012) is the one-lag table.  Anything else raises ``ValueError``.
     """
-    # looked up at call time, so a rebinding of the module names is honoured
-    return globals()[f"asv_{_formulas(method, model.lags)}"](model)
+    formulas = _formulas(method, model.lags)
+    return (asv_deflation if formulas == "deflation" else asv_symmetric)(model)
 
 
 def global_criterion(table: ASVTable) -> float:
@@ -364,7 +364,8 @@ def empirical_asv(
     ``method`` (default ``result.method``) picks the formulas as ``asv``
     does: deflation, or symmetric for ``"symmetric"``, both symmetric
     solvers and, on exactly one lag, ``"amuse"``.  Any other method raises
-    ``ValueError``.
+    ``ValueError``, and so does a table with a negative entry, which a
+    horizon too long for T gives: the message names the lags, kmax and T.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     lags = tuple(int(k) for k in lags)
@@ -389,4 +390,11 @@ def empirical_asv(
         rho[i] = (acov / divisor) / (acov[0] / T)
     rho[:, 0] = 1.0
     # beta_ij = 1 off the diagonal drops the F_l cross term: no F_k is needed
-    return _asv_table(*_d_tensor(rho, lags, _normal_beta(p), np.zeros((0, p, p))), formulas)
+    lam, d = _d_tensor(rho, lags, _normal_beta(p), np.zeros((0, p, p)))
+    try:
+        return _asv_table(lam, d, formulas)
+    except _NegativeASV:
+        raise ValueError(
+            f"negative plug-in ASV entry for lags {' '.join(map(str, lags))} at kmax = {kmax}, "
+            f"T = {T}: autocovariances that far out rest on too few products; "
+            "try a smaller kmax (lagselect --kmax)") from None

@@ -58,9 +58,7 @@ def sample_autocov(x, k: int, centered: bool = False) -> np.ndarray:
     T = x.shape[1]
     if not 0 <= k <= T - 2:
         raise ValueError(f"lag {k} out of range for T = {T}")
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    return _lag_product(x, k)
+    return _products(x, (k,), centered)[0]
 
 
 def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
@@ -78,6 +76,18 @@ def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
     return (m + m.mT) / 2
 
 
+def _products(x: np.ndarray, lags: Sequence[int], centered: bool) -> np.ndarray:
+    """The stack of S_k, k in ``lags``, of validated series x (p, T); ValueError,
+    with no numpy warning, where one of them leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if centered:
+            x = x - x.mean(axis=1, keepdims=True)
+        out = np.stack([_lag_product(x, k) for k in lags])
+    if not np.all(np.isfinite(out)):
+        raise ValueError("series values too large: their autocovariances overflow")
+    return out
+
+
 def _check_lags(lags: Sequence[int], T: int) -> tuple[int, ...]:
     """The lags as ints, checked against each other and against T."""
     lags = tuple(int(k) for k in lags)
@@ -93,26 +103,20 @@ def _check_lags(lags: Sequence[int], T: int) -> tuple[int, ...]:
 def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
     """Assemble S_0 together with S_k for each requested positive lag."""
     x = _as_series(x)
-    T = x.shape[1]
-    lags = _check_lags(lags, T)
-    if centered:
-        x = x - x.mean(axis=1, keepdims=True)
-    sk = np.empty((len(lags),) + (x.shape[0],) * 2)
-    for a, k in enumerate(lags):
-        sk[a] = _lag_product(x, k)
-    return AutocovSet(s0=_lag_product(x, 0), sk=sk, lags=lags)
+    lags = _check_lags(lags, x.shape[1])
+    s = _products(x, (0,) + lags, centered)
+    return AutocovSet(s0=s[0], sk=s[1:], lags=lags)
 
 
-def whitener(s0: np.ndarray, eps: float | None = None) -> np.ndarray:
+def whitener(s0: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of each covariance matrix in s0 (..., p, p).
 
-    Eigendecomposition based: W = V diag(w**-1/2) V'.  ``eps`` is the
-    eigenvalue floor; by default 1e-12 relative to the largest eigenvalue.
+    Eigendecomposition based: W = V diag(w**-1/2) V'.  The eigenvalue floor
+    is 1e-12 relative to the largest eigenvalue.
     """
     s0 = np.asarray(s0, dtype=float)
     w, v = np.linalg.eigh((s0 + s0.mT) / 2)
-    floor = 1e-12 * np.maximum(w[..., -1], 0.0) if eps is None else eps
-    if np.any(w[..., 0] <= floor):
+    if np.any(w[..., 0] <= 1e-12 * np.maximum(w[..., -1], 0.0)):
         raise ValueError("not positive definite")
     m = (v * w[..., None, :] ** -0.5) @ v.mT
     return (m + m.mT) / 2

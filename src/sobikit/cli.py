@@ -118,8 +118,7 @@ def _fit(acs, args):
 
 def _exact_model(specs, lags):
     """ASV model of the specs, which ``build_model`` puts in estimator order."""
-    exps = [expand_to_ma(s) for s in specs]
-    return asymptotics.build_model(exps, lags)
+    return asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
 
 
 def cmd_simulate(args) -> int:

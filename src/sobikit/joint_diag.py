@@ -2,14 +2,14 @@
 
 Four estimators share one output convention: an orthogonal factor U applied
 after whitening, Gamma = U @ W.  Rows are ordered by decreasing
-diagonalization criterion sum_k (u_j' R_k u_j)^2 (AMUSE orders by its
-eigenvalues instead) and signed so each row sums to a non-negative value.
+diagonalization criterion sum_k (u_j' R_k u_j)^2, exact ties kept in the
+solver's order (AMUSE orders by its eigenvalues instead), and signed so each
+row sums to a non-negative value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import warnings as _warnings
 from typing import NamedTuple
 
@@ -88,28 +88,12 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -U, U)
 
 
-def _order_rows(U: np.ndarray, crit: np.ndarray, tie_tol: float = 1e-12) -> np.ndarray:
-    """Indices sorting rows by criterion descending, ties broken on |u|."""
-
-    def cmp(a, b):
-        if crit[a] - crit[b] > tie_tol:
-            return -1
-        if crit[b] - crit[a] > tie_tol:
-            return 1
-        ua, ub = np.abs(U[a]), np.abs(U[b])
-        for x, y in zip(ua, ub):
-            if x != y:
-                return -1 if x > y else 1
-        return 0
-
-    return sorted(range(U.shape[0]), key=functools.cmp_to_key(cmp))
-
-
 def _finish(U, R, reorder=True):
-    """Signed (with ``reorder`` also ordered) rows of a block U (B, p, p), and each criterion."""
+    """Signed rows of a block U (B, p, p), and each objective; with ``reorder`` the
+    rows are also ordered by decreasing criterion, exact ties in the solver's order."""
     crit = _criterion_rows(U, R)
     if reorder:
-        U = np.stack([u[_order_rows(u, c)] for u, c in zip(U, crit)])
+        U = np.take_along_axis(U, np.argsort(-crit, axis=-1, kind="stable")[..., None], -2)
     return _fix_signs(U), crit.sum(axis=-1)
 
 
@@ -243,22 +227,20 @@ def deflation_block(
         final[act] = u
         iters[act] = max(max_iter, 0)
 
-        crit = np.full(B * restarts, -np.inf)
-        crit[started] = _criterion_rows(final[started, None], R[started // restarts])[:, 0]
-        # the first restart with the strictly largest criterion wins
-        crit = crit.reshape(B, restarts)
-        best = np.argmax(np.where(crit > -1.0, crit, -np.inf), axis=1)
-        for b in range(B):
-            k = b * restarts + best[b]
-            if crit[b, best[b]] > -1.0:
-                rows[b, j] = final[k]
-                iterations[b] += iters[k]
-                converged[b] &= conv[k]
-            else:
-                # every restart draw collapsed; fall back to any feasible direction
-                q = np.linalg.qr(proj[b])[0][:, 0]
-                rows[b, j] = q / np.linalg.norm(q)
-                converged[b] = False
+        crit = np.full((B, restarts), -np.inf)
+        crit.flat[started] = _criterion_rows(final[started, None], R[started // restarts])[:, 0]
+        # the first restart with the strictly largest criterion wins; every
+        # criterion is >= 0, or -inf where the restart did not start
+        k = np.arange(B) * restarts + np.argmax(crit, axis=1)
+        ok = crit.max(axis=1) > -np.inf
+        rows[ok, j] = final[k[ok]]
+        iterations[ok] += iters[k[ok]]
+        converged[ok] &= conv[k[ok]]
+        for b in np.nonzero(~ok)[0]:
+            # every restart draw collapsed; fall back to a unit vector in the
+            # projector's range, orthogonal to the rows found so far
+            rows[b, j] = np.linalg.eigh(proj[b])[1][:, -1]
+            converged[b] = False
 
     # the last row spans the null space of the others, as its SVD gives it
     rows[:, p - 1] = np.linalg.svd(rows[:, : p - 1])[2][:, -1]

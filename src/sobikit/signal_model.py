@@ -24,7 +24,8 @@ __all__ = [
     "mix",
 ]
 
-_KINDS = ("ma", "ar", "arma", "psi")
+# each kind and the coefficient fields it takes
+_FIELDS = {"ma": ("ma",), "ar": ("ar",), "arma": ("ar", "ma"), "psi": ("psi",)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,12 +38,15 @@ class SourceSpec:
         One of ``"ma"``, ``"ar"``, ``"arma"``, ``"psi"``.
     ar : tuple of float
         AR coefficients (phi_1, ..., phi_p'): z_t = sum_i phi_i z_{t-i} + ...
+        for the ``"ar"`` and ``"arma"`` kinds.
     ma : tuple of float
-        MA coefficients (theta_1, ..., theta_q'); a leading unit coefficient
-        is implied, i.e. the MA polynomial is 1 + theta_1 B + ... + theta_q B^q.
+        MA coefficients (theta_1, ..., theta_q') for the ``"ma"`` and
+        ``"arma"`` kinds; a leading unit coefficient is implied, i.e. the MA
+        polynomial is 1 + theta_1 B + ... + theta_q B^q.
     psi : tuple of float, optional
         Explicit MA weight sequence (psi_0, psi_1, ...) for ``kind="psi"``;
-        no leading coefficient is implied.
+        no leading coefficient is implied.  A kind given a field it does not
+        take raises ``ValueError``.
     """
 
     kind: str
@@ -60,20 +64,22 @@ class SourceSpec:
         self.validate()
 
     def validate(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIELDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
+        for name in ("ar", "ma", "psi"):
+            if getattr(self, name) and name not in _FIELDS[self.kind]:
+                raise ValueError(f"kind {self.kind!r} takes no {name} coefficients")
         for name in ("ar", "ma"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} coefficients must be finite")
         if self.kind == "psi":
-            if self.psi is None or len(self.psi) == 0:
+            if not self.psi:
                 raise ValueError("psi kind requires a non-empty psi sequence")
-            arr = np.asarray(self.psi, dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.all(np.isfinite(self.psi)):
                 raise ValueError("psi sequence must be finite")
-            if not np.any(arr != 0.0):
+            if not any(self.psi):
                 raise ValueError("psi sequence must not be all zero")
-        if self.kind in ("ar", "arma") and len(self.ar) > 0:
+        if self.ar:
             _check_causal(self.ar)
 
     @classmethod
@@ -144,17 +150,16 @@ def _squares(w: np.ndarray) -> tuple[np.ndarray, float]:
     return sq, total
 
 
-def _expand_raw(spec: SourceSpec, tol: float, max_len: int) -> tuple[np.ndarray, float]:
+def _expand_raw(spec: SourceSpec, tol: float = 1e-12,
+                max_len: int = 10**5) -> tuple[np.ndarray, float]:
     """Unnormalized psi weights, truncated to relative tail mass below tol,
     and the root of the sum of their squares."""
-    if spec.kind == "psi":
+    if spec.psi:
         raw = np.asarray(spec.psi, dtype=float)
-    elif spec.kind == "ma" or (spec.kind == "arma" and len(spec.ar) == 0):
-        raw = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
-    elif spec.kind == "ar" and len(spec.ar) == 0:
-        raw = np.array([1.0])
-    else:
+    elif spec.ar:
         raw = _expand_filter(spec, tol, max_len)
+    else:
+        raw = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
     if raw.size > max_len:
         raise ValueError("truncation overflow")
     return raw, np.sqrt(_squares(raw)[1])
@@ -225,7 +230,7 @@ class _SourcePlan(NamedTuple):
     components: tuple[_Component, ...]
 
 
-def _plan_sources(specs, burn_in=2000, tol=1e-12, max_len=10**5) -> _SourcePlan:
+def _plan_sources(specs, burn_in=2000) -> _SourcePlan:
     """The part of ``simulate_sources`` that depends on neither T nor the seed."""
     if burn_in < 0:
         raise ValueError("burn_in must be non-negative")
@@ -234,8 +239,8 @@ def _plan_sources(specs, burn_in=2000, tol=1e-12, max_len=10**5) -> _SourcePlan:
         raise ValueError("at least one source spec is required")
     parts = []  # (warm-up columns, then the _Component fields after ``start``)
     for s in specs:
-        raw, norm = _expand_raw(s, tol, max_len)
-        if s.kind in ("ar", "arma") and len(s.ar) > 0:
+        raw, norm = _expand_raw(s)
+        if s.ar:
             b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
             a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]
             parts.append((burn_in, burn_in, b, a, norm))
@@ -263,8 +268,6 @@ def simulate_sources(
     seed,
     burn_in: int = 2000,
     innovations: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
-    tol: float = 1e-12,
-    max_len: int = 10**5,
 ) -> np.ndarray:
     """Simulate a p x T matrix of mutually independent unit-variance sources.
 
@@ -287,7 +290,7 @@ def simulate_sources(
     """
     if T < 2:
         raise ValueError("T must be at least 2")
-    plan = _plan_sources(specs, burn_in, tol, max_len)
+    plan = _plan_sources(specs, burn_in)
     shape = (len(plan.components), plan.pre + T)
     rng = np.random.default_rng(seed)
     if innovations is None:

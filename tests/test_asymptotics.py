@@ -118,6 +118,8 @@ def test_build_model_validation():
                                                [1.0, 1.0, 3.0]]))
     with pytest.raises(ValueError, match="at least 1"):
         build_model(exps, (1,), beta=np.full((3, 3), 0.5))
+    with pytest.raises(ValueError, match="p x p"):
+        build_model(exps, (1,), beta=np.eye(2) * 3.0)
 
 
 def loop_vlm(d):

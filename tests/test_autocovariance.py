@@ -103,6 +103,8 @@ def test_autocov_set_validation():
         sample_autocov(np.array([[1.0, np.nan, 0.0]]), 1)
     with pytest.raises(ValueError, match="at least"):
         sample_autocov(np.array([[1.0]]), 0)
+    with pytest.raises(ValueError, match="p x T"):
+        autocov_set(np.ones((2, 3, 4)), (1,))
 
 
 def test_whitener_inverts_covariance():
@@ -121,9 +123,6 @@ def test_whitener_rejects_non_positive_definite():
         whitener(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="not positive definite"):
         whitener(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-    # explicit eps overrides the relative default
-    with pytest.raises(ValueError, match="not positive definite"):
-        whitener(np.diag([1.0, 1e-9]), eps=1e-6)
 
 
 def test_autocorrelations_diagonal_when_prewhitened():
@@ -175,3 +174,16 @@ def test_batched_whitening_rejects_a_block_with_one_singular_matrix():
     s0 = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)])
     with pytest.raises(ValueError, match="not positive definite"):
         whitener(s0)
+
+
+@pytest.mark.parametrize("centered", [False, True])
+def test_overflowing_products_raise_without_a_warning(centered):
+    # finite values whose products leave the float range
+    x = np.random.default_rng(0).standard_normal((2, 40)) * 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        autocov_set(x, (1, 2), centered=centered)
+    with pytest.raises(ValueError, match="overflow"):
+        sample_autocov(x, 0, centered=centered)
+    # large values whose products stay finite pass
+    acs = autocov_set(x * 1e-50, (1, 2), centered=centered)
+    assert np.all(np.isfinite(acs.s0)) and np.all(np.isfinite(acs.sk))

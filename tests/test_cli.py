@@ -46,6 +46,8 @@ def test_parse_lags_forms():
         range(12, 21, 2)) + (25,)
     assert _parse_lags("3") == (3,)
     assert _parse_lags("preset2") == lag_preset("preset2")
+    with pytest.raises(ValueError, match="unknown lag preset 'preset9'"):
+        lag_preset("preset9")
 
 
 def test_simulate_deterministic_and_round_trip(tmp_path):
@@ -241,6 +243,12 @@ UNUSABLE_COEFFICIENTS = {
     "psi-underflow": ([{"kind": "psi", "psi": [1e-200]}, AR_HALF], "psi weights underflow"),
     "psi-subnormal": ([{"kind": "psi", "psi": [1e-160, 1e-161]}, AR_HALF],
                       "psi weights underflow"),
+    "ma-with-ar": ([{"kind": "ma", "ar": [0.5], "ma": [0.3]}, AR_HALF],
+                   "kind 'ma' takes no ar coefficients"),
+    "ar-with-ma": ([{"kind": "ar", "ar": [0.5], "ma": [0.3]}, AR_HALF],
+                   "kind 'ar' takes no ma coefficients"),
+    "psi-with-ar": ([{"kind": "psi", "psi": [1.0], "ar": [0.5]}, AR_HALF],
+                    "kind 'psi' takes no ar coefficients"),
 }
 
 
@@ -732,6 +740,33 @@ def test_d_tensor_over_the_bound_is_one_error_line(argv):
     assert (code, out) == (1, "")
     assert err == ["error: 5000 lags need a 1717 MiB D tensor, over the 256 MiB bound"]
     assert peak < 16 << 20
+
+
+def test_lagselect_horizon_too_long_for_t_names_the_set(dataset):
+    # lag 7998 of T = 8000 puts the default horizon at T - 2, where the plug-in
+    # autocovariances rest on a handful of products
+    code, out, err = run_main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1,7998"])
+    assert (code, out) == (1, "")
+    assert err == ["error: negative plug-in ASV entry for lags 1 7998 at kmax = 7998, T = 8000: "
+                   "autocovariances that far out rest on too few products; "
+                   "try a smaller kmax (lagselect --kmax)"]
+    assert run_main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1,7998",
+                     "--kmax", "7998"])[2] == err
+
+
+@pytest.mark.parametrize("command", ["separate", "lagselect"])
+def test_overflowing_data_is_one_error_line(tmp_path, command):
+    # finite cells whose products leave the float range
+    data = tmp_path / "big.csv"
+    np.savetxt(data, np.random.default_rng(0).standard_normal((40, 2)) * 1e200, delimiter=",")
+    argv = {"separate": ["--lags", "1", "--output", str(tmp_path / "sep")],
+            "lagselect": ["--lag-sets", "1;2"]}[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main([command, "--data", str(data), *argv])
+    assert caught == []
+    assert (code, out, err) == (1, "", ["error: series values too large: their "
+                                        "autocovariances overflow"])
 
 
 def test_lagselect_d_tensor_over_the_bound_is_one_error_line(dataset, monkeypatch):

@@ -478,3 +478,35 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
         u, iters, conv = sequential_fixedpoint(r)
         np.testing.assert_array_equal(fp.u[s], _finish(u[None], r[None])[0][0])
         assert (fp.iterations[s], fp.converged[s]) == (iters, conv)
+
+
+def test_exact_criterion_ties_keep_the_solver_order():
+    # rows e2 and e1 have the same criterion, 1; e3 has 0.5 ** 2
+    R = np.diag([1.0, 1.0, 0.5])[None, None]
+    U = np.eye(3)[[1, 0, 2]][None]
+    u, objective = _finish(U, R)
+    np.testing.assert_array_equal(u, U)
+    assert objective[0] == 2.25
+    # a strictly larger criterion still moves a row up
+    u, _ = _finish(np.eye(3)[[2, 0, 1]][None], R)
+    np.testing.assert_array_equal(u[0], np.eye(3)[[0, 1, 2]])
+
+
+class _CollapsedDraws:
+    """An rng whose every start direction is zero, so no restart starts."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_deflation_falls_back_when_every_restart_collapses():
+    A = np.random.default_rng(1).standard_normal((4, 3, 3))
+    R = np.stack([A + A.mT] * 2)
+    fit = deflation_block(R, [_CollapsedDraws(), np.random.default_rng(0)])
+    # the fallback rows are orthonormal, and only their problem is flagged
+    np.testing.assert_allclose(fit.u[0] @ fit.u[0].T, np.eye(3), atol=1e-12)
+    assert fit.converged.tolist() == [False, True]
+    assert fit.iterations[0] == 0
+    # the other problem gets what it gets alone
+    alone = deflation_block(R[1:], [np.random.default_rng(0)])
+    np.testing.assert_array_equal(fit.u[1], alone.u[0])

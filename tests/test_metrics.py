@@ -130,6 +130,8 @@ def test_validation_errors():
         amari(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         amari(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        amari(np.ones((2, 3)))
 
 
 def test_expected_limit_of_model_c_symmetric():

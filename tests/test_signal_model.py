@@ -80,6 +80,17 @@ def test_subnormal_ar_coefficients_are_causal(ar):
 def test_truncation_overflow():
     with pytest.raises(ValueError, match="truncation overflow"):
         expand_to_ma(SourceSpec("ar", ar=(0.999,)), max_len=10)
+    with pytest.raises(ValueError, match="truncation overflow"):
+        expand_to_ma(SourceSpec("psi", psi=(1.0, 0.5, 0.25)), max_len=2)
+
+
+def test_expansion_settings_are_checked():
+    spec = SourceSpec("ar", ar=(0.5,))
+    for tol in (0.0, -1e-12):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            expand_to_ma(spec, tol=tol)
+    with pytest.raises(ValueError, match="max_len must be at least 1"):
+        expand_to_ma(spec, max_len=0)
 
 
 def test_slowly_mixing_ar_still_expands():
@@ -103,6 +114,26 @@ def test_spec_validation_errors():
                 for bad in (np.nan, np.inf, -np.inf):
                     with pytest.raises(ValueError, match=f"{field} coefficients must be finite"):
                         SourceSpec(kind, **{field: (0.1, bad)})
+
+
+@pytest.mark.parametrize("kind, fields, name", [
+    ("ma", {"ar": (0.5,), "ma": (0.3,)}, "ar"),
+    ("ar", {"ar": (0.5,), "ma": (0.3,)}, "ma"),
+    ("ar", {"ma": (0.5,)}, "ma"),
+    ("psi", {"psi": (1.0,), "ar": (0.5,)}, "ar"),
+    ("psi", {"psi": (1.0,), "ma": (0.5,)}, "ma"),
+    ("arma", {"ar": (0.5,), "psi": (1.0,)}, "psi"),
+])
+def test_spec_rejects_fields_its_kind_does_not_take(kind, fields, name):
+    # these used to be dropped (ma, psi) or read as another kind (ar with ma)
+    with pytest.raises(ValueError, match=f"kind '{kind}' takes no {name} coefficients"):
+        SourceSpec(kind, **fields)
+
+
+def test_spec_takes_empty_fields_of_other_kinds():
+    np.testing.assert_array_equal(expand_to_ma(SourceSpec("ma", ar=(), ma=(0.3,), psi=())).psi,
+                                  expand_to_ma(SourceSpec("ma", ma=(0.3,))).psi)
+    assert SourceSpec.from_dict({"kind": "psi", "psi": [1.0], "ar": [], "ma": None}).psi == (1.0,)
 
 
 def test_explicit_psi_alias():
