@@ -10,7 +10,6 @@ from .autocovariance import (
     AutocovSet,
     autocorrelations,
     autocov_set,
-    sample_autocov,
     whitener,
 )
 from .asymptotics import (
@@ -71,7 +70,6 @@ __all__ = [
     "lag_preset",
     "mdi",
     "mix",
-    "sample_autocov",
     "simulate_sources",
     "sobi_deflation",
     "sobi_symmetric_fixedpoint",

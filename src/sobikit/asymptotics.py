@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
+from .autocovariance import _check_lags
 from .joint_diag import UnmixingResult
 from .signal_model import MAExpansion
 
@@ -138,11 +139,7 @@ def build_model(
     p = len(expansions)
     if p == 0:
         raise ValueError("at least one expansion is required")
-    lags = tuple(int(k) for k in lags)
-    if any(k <= 0 for k in lags):
-        raise ValueError("lags must be positive")
-    if len(set(lags)) != len(lags):
-        raise ValueError("duplicate lags")
+    lags = _check_lags(lags)
     support = max(e.psi.size for e in expansions)
 
     beta = _normal_beta(p) if beta is None else np.asarray(beta, dtype=float)
@@ -344,7 +341,6 @@ def empirical_asv(
     result: UnmixingResult,
     lags: Sequence[int],
     kmax: int | None = None,
-    method: str | None = None,
 ) -> ASVTable:
     """Plug-in ASV estimate from recovered sources.
 
@@ -361,17 +357,17 @@ def empirical_asv(
     O(T log T) per component rather than O(T kmax); the autocorrelations
     then feed the same D_lm kernel as the exact tables.
 
-    ``method`` (default ``result.method``) picks the formulas as ``asv``
-    does: deflation, or symmetric for ``"symmetric"``, both symmetric
-    solvers and, on exactly one lag, ``"amuse"``.  Any other method raises
-    ``ValueError``, and so does a table with a negative entry, which a
-    horizon too long for T gives: the message names the lags, kmax and T.
+    ``result.method`` picks the formulas as ``asv`` does: deflation, or
+    symmetric for both symmetric solvers and, on exactly one lag, AMUSE.
+    Any other method raises ``ValueError``, and so does a table with a
+    negative entry, which a horizon too long for T gives: the message names
+    the lags, kmax and T.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    lags = tuple(int(k) for k in lags)
-    if not lags or any(k <= 0 for k in lags):
+    lags = _check_lags(lags)
+    if not lags:
         raise ValueError("lags must be positive and non-empty")
-    formulas = _formulas(result.method if method is None else method, lags)
+    formulas = _formulas(result.method, lags)
     if kmax is None:
         kmax = 12 * max(lags)
     p, T = x.shape

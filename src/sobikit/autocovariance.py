@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["AutocovSet", "sample_autocov", "autocov_set", "whitener", "autocorrelations"]
+__all__ = ["AutocovSet", "autocov_set", "whitener", "autocorrelations"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,10 +26,6 @@ class AutocovSet:
     s0: np.ndarray
     sk: np.ndarray
     lags: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return self.s0.shape[-1]
 
 
 def _as_series(x) -> np.ndarray:
@@ -45,20 +41,6 @@ def _as_series(x) -> np.ndarray:
 def _check_finite(x: np.ndarray):
     if not np.all(np.isfinite(x)):
         raise ValueError("series contains non-finite values")
-
-
-def sample_autocov(x, k: int, centered: bool = False) -> np.ndarray:
-    """Symmetrized sample autocovariance matrix at lag k.
-
-    Returns (1/(2(T-k))) sum_t (x_t x'_{t+k} + x_{t+k} x'_t) for k > 0 and
-    (1/T) sum_t x_t x'_t for k = 0.  With ``centered`` the sample mean over
-    all T columns is removed first.
-    """
-    x = _as_series(x)
-    T = x.shape[1]
-    if not 0 <= k <= T - 2:
-        raise ValueError(f"lag {k} out of range for T = {T}")
-    return _products(x, (k,), centered)[0]
 
 
 def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
@@ -88,20 +70,21 @@ def _products(x: np.ndarray, lags: Sequence[int], centered: bool) -> np.ndarray:
     return out
 
 
-def _check_lags(lags: Sequence[int], T: int) -> tuple[int, ...]:
-    """The lags as ints, checked against each other and against T."""
+def _check_lags(lags: Sequence[int], T: int | None = None) -> tuple[int, ...]:
+    """The lags as ints, checked against each other and, if given, against T."""
     lags = tuple(int(k) for k in lags)
     if len(set(lags)) != len(lags):
         raise ValueError("duplicate lags")
     if any(k <= 0 for k in lags):
         raise ValueError("lags must be positive")
-    if any(k > T - 2 for k in lags):
+    if T is not None and any(k > T - 2 for k in lags):
         raise ValueError("lag out of range")
     return lags
 
 
 def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
-    """Assemble S_0 together with S_k for each requested positive lag."""
+    """Assemble S_0 together with S_k for each requested positive lag; with
+    ``centered`` the sample mean over all T columns is removed first."""
     x = _as_series(x)
     lags = _check_lags(lags, x.shape[1])
     s = _products(x, (0,) + lags, centered)

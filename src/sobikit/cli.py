@@ -15,28 +15,28 @@ from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_
 from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
-# Each --method value: (fit of one AutocovSet by its public solver, solve of the
-# whitened lag stacks R (B, K, p, p) of a block of reps by its block kernel), with
-# the CLI options both take; start indexes the smallest lag.
+# Each --method value: (fit of one AutocovSet by its public solver, solve of a
+# block of reps' whitened lag stacks R (B, K, p, p), whose lag axis follows lags,
+# by its block kernel), with the CLI options both take.
 _METHODS = {
     "amuse": (
-        lambda acs, start, a: joint_diag.amuse(acs, acs.lags[start] if a.tau is None else a.tau),
-        lambda R, start, a, reps: joint_diag._amuse_block(R, start)),
+        lambda acs, a: joint_diag.amuse(acs, a.tau),
+        lambda R, lags, a, reps: joint_diag._amuse_block(R, lags)),
     "deflation": (
-        lambda acs, start, a: joint_diag.sobi_deflation(
+        lambda acs, a: joint_diag.sobi_deflation(
             acs, tol=a.tol, max_iter=a.max_iter, restarts=a.restarts, seed=a.seed),
-        lambda R, start, a, reps: joint_diag.deflation_block(
+        lambda R, lags, a, reps: joint_diag.deflation_block(
             R, [np.random.default_rng((a.seed, rep, 1)) for rep in reps],
             tol=a.tol, max_iter=a.max_iter, restarts=a.restarts)),
     "symmetric-fixedpoint": (
-        lambda acs, start, a: joint_diag.sobi_symmetric_fixedpoint(
+        lambda acs, a: joint_diag.sobi_symmetric_fixedpoint(
             acs, tol=a.tol, max_iter=a.max_iter),
-        lambda R, start, a, reps: joint_diag.fixedpoint_block(
-            R, start, tol=a.tol, max_iter=a.max_iter)),
+        lambda R, lags, a, reps: joint_diag.fixedpoint_block(
+            R, lags, tol=a.tol, max_iter=a.max_iter)),
     "symmetric-jacobi": (
-        lambda acs, start, a: joint_diag.sobi_symmetric_jacobi(
+        lambda acs, a: joint_diag.sobi_symmetric_jacobi(
             acs, tol=a.jacobi_tol, max_sweeps=a.max_sweeps),
-        lambda R, start, a, reps: joint_diag.jacobi_block(
+        lambda R, lags, a, reps: joint_diag.jacobi_block(
             R, tol=a.jacobi_tol, max_sweeps=a.max_sweeps)),
 }
 
@@ -96,24 +96,26 @@ def _write_series(path: str, x: np.ndarray, header: bool):
     np.savetxt(path, x.T, delimiter=",", fmt="%.17g", header=head, comments="")
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_series(path: str) -> np.ndarray:
+    """The CSV at ``path``, rows = time points, as a p x T array; a first row
+    none of whose cells is a number is a header."""
     with open(path) as fh:
         first = fh.readline()
-    skip = 0
-    try:
-        [float(tok) for tok in first.strip().split(",")]
-    except ValueError:
-        skip = 1
+    skip = int(not any(_is_number(tok) for tok in first.strip().split(",")))
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path} holds no data")
     return data.T
-
-
-def _fit(acs, args):
-    return _METHODS[args.method][0](acs, joint_diag._start(acs.lags), args)
 
 
 def _exact_model(specs, lags):
@@ -136,10 +138,15 @@ def cmd_separate(args) -> int:
     _check_solver_options(args)
     x = _read_series(args.data)
     lags = _parse_lags(args.lags)
-    result = _fit(autocov_set(x, lags, centered=not args.no_center), args)
+    if args.omega:
+        omega = _read_series(args.omega).T
+        p = x.shape[0]
+        if omega.shape != (p, p):
+            raise ValueError(f"{args.omega}: the mixing matrix must be {p} x {p}, "
+                             f"not {omega.shape[0]} x {omega.shape[1]}")
+    result = _METHODS[args.method][0](autocov_set(x, lags, centered=not args.no_center), args)
     z = result.gamma @ (x - x.mean(axis=1, keepdims=True)
                         if not args.no_center else x)
-    _write_series(args.output + ".csv", z, args.header)
     report = {
         "gamma": result.gamma.tolist(),
         "method": result.method,
@@ -150,9 +157,10 @@ def cmd_separate(args) -> int:
         "warnings": list(result.warnings),
     }
     if args.omega:
-        gain = result.gamma @ np.loadtxt(args.omega, delimiter=",", ndmin=2)
+        gain = result.gamma @ omega
         report["mdi"] = metrics.mdi(gain)
         report["amari"] = metrics.amari(gain)
+    _write_series(args.output + ".csv", z, args.header)
     with open(args.output + ".json", "w") as fh:
         json.dump(report, fh, indent=2)
     print(f"{result.method}: converged={result.converged} "
@@ -168,7 +176,10 @@ def cmd_asv(args) -> int:
     methods = ("deflation", "symmetric") if args.method == "both" else (args.method,)
     lines = []
     for method in methods:
-        table = asymptotics.asv(model, method)
+        try:
+            table = asymptotics.asv(model, method)
+        except ValueError as exc:
+            raise ValueError(f"{method}: {exc}") from None
         lines += [f"{method},{j+1},{i+1},{v:.17g}"
                   for (j, i), v in np.ndenumerate(table.per_element)]
         crit = asymptotics.global_criterion(table)
@@ -240,13 +251,13 @@ def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, 
     simulate_sources -> autocov_set -> solver gives it alone.
     """
     out = {}
-    p, start = len(plan.components), joint_diag._start(lags)
+    p = len(plan.components)
     for T, acs in _block_lag_matrices(plan, lags, t_values, reps, args.seed).items():
         W = autocovariance.whitener(acs.s0)
         R = autocovariance.autocorrelations(acs, W)
         out[T] = {}
         for method in methods:
-            mdis = metrics._mdi_block(_METHODS[method][1](R, start, args, reps).u @ W)
+            mdis = metrics.mdi(_METHODS[method][1](R, acs.lags, args, reps).u @ W)
             # squared as Python floats: C pow, which float ** 2 calls, and
             # numpy's square round differently in about 0.1% of values
             out[T][method] = [T * (p - 1) * m ** 2 for m in mdis.tolist()]
@@ -318,8 +329,8 @@ def cmd_lagselect(args) -> int:
     where = {k: a for a, k in enumerate(acs.lags)}
     scored = []
     for lags in lag_sets:
-        result = _fit(autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags),
-                      args)
+        result = _METHODS[args.method][0](
+            autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags), args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=args.kmax)
         score = float(table.row_sums()[rows_sel].sum())
         scored.append((score, lags))

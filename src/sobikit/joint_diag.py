@@ -97,15 +97,20 @@ def _finish(U, R, reorder=True):
     return _fix_signs(U), crit.sum(axis=-1)
 
 
-def _start(lags) -> int:
-    """Index of the smallest lag: AMUSE's default lag, and the fixed point's start."""
-    return lags.index(min(lags))
+def _lag_index(lags, tau=None) -> int:
+    """Index in ``lags`` of lag ``tau``, by default of the smallest lag: AMUSE's
+    lag, and the one whose AMUSE fit starts the fixed point."""
+    tau = min(lags) if tau is None else tau
+    if tau not in lags:
+        raise ValueError(f"tau = {tau} not among the computed lags")
+    return lags.index(tau)
 
 
-def _amuse_block(R: np.ndarray, start: int) -> BlockFit:
-    """AMUSE on B whitened lag stacks R (B, K, p, p): each problem's rows are the
-    signed eigenvectors of its R[:, start], by decreasing eigenvalue."""
-    evals, evecs = np.linalg.eigh(R[:, start])
+def _amuse_block(R: np.ndarray, lags, tau=None) -> BlockFit:
+    """AMUSE on B whitened lag stacks R (B, K, p, p) at ``lags``: each problem's rows
+    are the signed eigenvectors of its R at lag ``tau`` (default: the smallest), by
+    decreasing eigenvalue."""
+    evals, evecs = np.linalg.eigh(R[:, _lag_index(lags, tau)])
     idx = np.argsort(-evals, axis=-1, kind="stable")
     # gathered as C-contiguous rows: _tmap_rows' einsums round differently on an F-ordered U
     U, objective = _finish(np.take_along_axis(evecs.mT, idx[..., None], -2), R, reorder=False)
@@ -127,17 +132,15 @@ def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
     return dataclasses.replace(result, residual=estimating_residual(result, acs))
 
 
-def amuse(acs: AutocovSet, tau: int) -> UnmixingResult:
+def amuse(acs: AutocovSet, tau: int | None = None) -> UnmixingResult:
     """Unmixing from the eigendecomposition of a single whitened lag.
 
-    Rows follow the eigenvalues of R_tau in decreasing order; a
-    near-degenerate spectrum gives the warning "eigenvalue tie"
-    but a result is still returned.
+    ``tau`` defaults to the smallest of ``acs.lags``.  Rows follow the
+    eigenvalues of R_tau in decreasing order; a near-degenerate spectrum
+    gives the warning "eigenvalue tie" but a result is still returned.
     """
-    if tau not in acs.lags:
-        raise ValueError(f"tau = {tau} not among the computed lags")
-    a = acs.lags.index(tau)
-    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, a))
+    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, acs.lags, tau))
+    a = _lag_index(acs.lags, tau)
     # the eigenvalues of R_tau, row by row: gamma S_tau gamma' = U R_tau U'
     evals = np.einsum("ja,ab,jb->j", result.gamma, acs.sk[a], result.gamma)
     spread = float(evals[0] - evals[-1])
@@ -262,23 +265,24 @@ def sobi_symmetric_fixedpoint(
     max |U_new - U_old| < tol.
     """
     return _unmix(acs, "symmetric-fixedpoint", lambda R: fixedpoint_block(
-        R, _start(acs.lags), tol=tol, max_iter=max_iter))
+        R, acs.lags, tol=tol, max_iter=max_iter))
 
 
 def fixedpoint_block(
     R: np.ndarray,
-    start: int,
+    lags: tuple[int, ...],
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> BlockFit:
     """Symmetric fixed-point SOBI on B whitened lag stacks R of shape (B, K, p, p).
 
-    Each problem starts from its AMUSE fit on lag R[:, start] (``_amuse_block``).
+    R's lag axis follows ``lags``.  Each problem starts from its AMUSE fit on
+    the smallest lag (``_amuse_block``).
     Live problems iterate together; one leaves after the first iteration whose
     max |U_new - U_old| is below ``tol`` (converged), which ``iterations``
     counts.  A problem's result does not depend on the block it is in.
     """
-    U = _amuse_block(R, start).u
+    U = _amuse_block(R, lags).u
     live, Ra = np.arange(len(R)), R
     out = np.empty_like(U)
     iterations = np.full(len(R), max(max_iter, 0))

@@ -14,7 +14,7 @@ from sobikit.asymptotics import (
     global_criterion,
     transform_general_mixing,
 )
-from sobikit.autocovariance import autocov_set, sample_autocov
+from sobikit.autocovariance import _check_lags, autocov_set
 from sobikit.joint_diag import sobi_symmetric_jacobi
 from sobikit.presets import benchmark_model
 from sobikit.signal_model import SourceSpec, expand_to_ma, simulate_sources
@@ -122,6 +122,20 @@ def test_build_model_validation():
         build_model(exps, (1,), beta=np.eye(2) * 3.0)
 
 
+@pytest.mark.parametrize("lags", [(1, 1), (0,), (2, -1)])
+def test_lag_checks_are_autocov_sets(lags):
+    # build_model and empirical_asv refuse what autocov_set refuses, in its words
+    with pytest.raises(ValueError) as want:
+        _check_lags(lags)
+    x = simulate_sources(benchmark_model("d"), T=400, seed=2)
+    res = sobi_symmetric_jacobi(autocov_set(x, (1, 2), centered=True))
+    for call in (lambda: build_model(sorted_expansions("d"), lags),
+                 lambda: empirical_asv(x, res, lags)):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == str(want.value)
+
+
 def loop_vlm(d):
     """diag(vec d) (K_pp - D_pp + I) from explicit selector matrices."""
     p = d.shape[0]
@@ -142,7 +156,7 @@ def test_vlm_matches_monte_carlo_vec_covariance():
     vecs = np.empty((reps, 4))
     for r in range(reps):
         x = rng.standard_normal((2, T))
-        vecs[r] = sample_autocov(x, 0).flatten(order="F") * np.sqrt(T)
+        vecs[r] = autocov_set(x, ()).s0.flatten(order="F") * np.sqrt(T)
     emp = np.cov(vecs.T)
     v00 = loop_vlm(white_model(2).d[0, 0])
     assert np.max(np.abs(emp - v00)) < 0.1 * np.max(np.abs(v00))
@@ -380,11 +394,12 @@ def test_empirical_asv_validation():
     with pytest.raises(ValueError, match="horizon too small"):
         empirical_asv(x, res, (50,), kmax=10)
     with pytest.raises(ValueError, match="no ASV for method 'jade'"):
-        empirical_asv(x, res, (1,), method="jade")
+        empirical_asv(x, dataclasses.replace(res, method="jade"), (1,))
     # amuse is scored on its one lag only, with the symmetric formulas
+    as_amuse = dataclasses.replace(res, method="amuse")
     with pytest.raises(ValueError, match="tau"):
-        empirical_asv(x, dataclasses.replace(res, method="amuse"), (1, 2))
-    np.testing.assert_array_equal(empirical_asv(x, res, (1,), method="amuse").per_element,
+        empirical_asv(x, as_amuse, (1, 2))
+    np.testing.assert_array_equal(empirical_asv(x, as_amuse, (1,)).per_element,
                                   empirical_asv(x, res, (1,)).per_element)
 
 
@@ -467,7 +482,9 @@ def test_empirical_asv_matches_direct_formulas(lags):
     x = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]]) @ z
     res = sobi_symmetric_jacobi(autocov_set(x, lags, centered=True))
     for method in ("deflation", "symmetric"):
-        table = empirical_asv(x, res, lags, method=method)
+        # the formulas follow the fit's method: deflation's, or the symmetric ones
+        fit = dataclasses.replace(res, method="deflation") if method == "deflation" else res
+        table = empirical_asv(x, fit, lags)
         assert table.method == method
         np.testing.assert_allclose(
             table.per_element,

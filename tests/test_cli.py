@@ -374,7 +374,7 @@ def test_every_method_has_a_kernel_and_a_one_lag_asv():
     acs = [autocov_set(simulate_sources(benchmark_model("d"), 600, rep), lags) for rep in reps]
     R = np.stack([autocorrelations(a) for a in acs])
     model = cli._exact_model(benchmark_model("d"), (1,))
-    fits = {name: cli._METHODS[name][1](R, cli.joint_diag._start(lags), args, reps)
+    fits = {name: cli._METHODS[name][1](R, lags, args, reps)
             for name in cli._METHODS}
     for name, fit in fits.items():
         assert isinstance(fit, BlockFit) and fit.u.shape == (2, 3, 3)
@@ -705,7 +705,7 @@ def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
     for spec in sets.split(";"):
         lags = _parse_lags(spec)
         acs = autocov_set(x, lags, centered=True)
-        result = cli._METHODS[method][0](acs, cli.joint_diag._start(lags), args)
+        result = cli._METHODS[method][0](acs, args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=kmax)
         expected.append((float(table.row_sums().sum()), " ".join(map(str, lags))))
     expected.sort()
@@ -846,3 +846,44 @@ def test_data_csv_fuzz_exits_cleanly(tmp_path_factory, command, text):
         assert err == []
     else:
         assert code == 1 and out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "{omega} holds no data"),
+    ("1,0\n0,1\n", "{omega}: the mixing matrix must be 3 x 3, not 2 x 2"),
+    ("1,0,0\n0,1,0\n", "{omega}: the mixing matrix must be 3 x 3, not 2 x 3"),
+    ("0,0,0\n0,0,0\n0,0,0\n", "rank deficient"),
+])
+def test_separate_checks_omega_before_writing(dataset, tmp_path, content, message):
+    omega = tmp_path / "omega.csv"
+    omega.write_text(content)
+    out = tmp_path / "sep"
+    code, stdout, err = run_main(["separate", "--data", dataset, "--lags", "1-3",
+                                  "--omega", str(omega), "--output", str(out)])
+    assert (code, stdout, err) == (1, "", ["error: " + message.format(omega=omega)])
+    assert list(tmp_path.iterdir()) == [omega]
+
+
+def test_asv_names_the_formulas_that_fail():
+    # on lags 1-3 model (b)'s deflation criteria tie, its symmetric profiles do not
+    assert run_main(["asv", "--preset", "b", "--lags", "1-3"]) == (
+        1, "", ["error: deflation: identifiability failure"])
+    assert run_main(["asv", "--preset", "b", "--lags", "1-3", "--method", "symmetric"]) == (
+        0, "symmetric,global,8.5490072984751428\n", [])
+
+
+@pytest.mark.parametrize("position", [0, 5])
+@pytest.mark.parametrize("command", ["separate", "lagselect"])
+def test_bad_data_row_is_an_error_in_any_place(tmp_path, command, position):
+    # a first row with a number in it is data, not a header
+    rows = [f"{a},{b}" for a, b in np.random.default_rng(3).standard_normal((40, 2)).tolist()]
+    rows[position] = "1.5,x"
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(rows) + "\n")
+    argv = {"separate": ["separate", "--data", str(data), "--lags", "1-3",
+                         "--output", str(tmp_path / "sep")],
+            "lagselect": ["lagselect", "--data", str(data), "--lag-sets", "1;2"]}[command]
+    code, out, err = run_main(argv)
+    assert (code, out, len(err)) == (1, "", 1)
+    assert err[0].startswith("error: could not convert string 'x'")
+    assert list(tmp_path.iterdir()) == [data]

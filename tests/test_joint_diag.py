@@ -23,7 +23,7 @@ from sobikit.presets import benchmark_model
 from sobikit.signal_model import MixingModel, mix, simulate_sources
 
 ALL_SOLVERS = (
-    lambda acs: amuse(acs, min(acs.lags)),
+    amuse,
     sobi_deflation,
     sobi_symmetric_fixedpoint,
     sobi_symmetric_jacobi,
@@ -136,7 +136,7 @@ def test_orthogonality_and_whitening_invariants(method):
                                            [-0.6, 0.2, 1.5]])))
     acs = autocov_set(x, range(1, 11), centered=True)
     res = fitted(method, acs)
-    p = acs.p
+    p = acs.s0.shape[-1]
     assert np.max(np.abs(res.u @ res.u.T - np.eye(p))) < 1e-8
     assert np.max(np.abs(res.gamma @ acs.s0 @ res.gamma.T - np.eye(p))) < 1e-8
     np.testing.assert_allclose(res.gamma, res.u @ res.whitener, atol=1e-12)
@@ -225,6 +225,16 @@ def test_fixedpoint_starts_from_the_smallest_lag():
     res = sobi_symmetric_fixedpoint(acs, max_iter=0)
     assert (res.iterations, res.converged) == (0, False)
     assert sorted(map(tuple, res.u)) == sorted(map(tuple, amuse(acs, 1).u))
+
+
+def test_amuse_defaults_to_the_smallest_lag():
+    # the smallest lag, 1, is listed second
+    z = simulate_sources(benchmark_model("c"), T=1000, seed=40)
+    acs = autocov_set(z, (3, 1, 2), centered=True)
+    default, lag_1 = amuse(acs), amuse(acs, 1)
+    for field in dataclasses.fields(default):
+        np.testing.assert_array_equal(getattr(default, field.name), getattr(lag_1, field.name))
+    assert not np.array_equal(amuse(acs, 3).u, lag_1.u)
 
 
 def test_fixedpoint_degenerate_structure_rejected():
@@ -319,7 +329,7 @@ def test_deflation_block_matches_each_problem_alone(options):
 
 
 def fixedpoint_from_lag_1(R, **options):
-    return fixedpoint_block(R, 0, **options)
+    return fixedpoint_block(R, tuple(range(1, R.shape[1] + 1)), **options)
 
 
 @pytest.mark.parametrize("kernel,options", [
@@ -466,7 +476,7 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
                        for s in range(6)])
     defl = deflation_block(stacks, [np.random.default_rng((s, 1)) for s in range(6)])
     jac = jacobi_block(stacks)
-    fp = fixedpoint_block(stacks, 0)
+    fp = fixedpoint_block(stacks, tuple(range(1, 11)))
     for s, r in enumerate(stacks):
         rows, iters, conv = sequential_deflation_rows(r, np.random.default_rng((s, 1)))
         u = np.vstack([rows, null_space(rows)[:, 0]])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sobikit.asymptotics import asv_symmetric, build_model, global_criterion
 from scipy.optimize import linear_sum_assignment
 
-from sobikit.metrics import _mdi_block, amari, mdi
+from sobikit.metrics import amari, mdi
 from sobikit.presets import benchmark_model
 from sobikit.signal_model import expand_to_ma
 
@@ -102,7 +102,7 @@ def test_amari_changes_under_row_rescaling():
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7])
-def test_mdi_block_equals_the_assignment_value(p):
+def test_mdi_stack_equals_the_assignment_value(p):
     # enumerated for p <= 5, Hungarian above; both bit-equal to the
     # linear_sum_assignment value, as a stack and one matrix at a time
     rng = np.random.default_rng(p)
@@ -110,9 +110,21 @@ def test_mdi_block_equals_the_assignment_value(p):
                         rng.standard_normal((10, p, p)) + 3 * np.eye(p),
                         np.ones((1, p, p))])  # every assignment ties
     expected = [assignment_mdi(x) for x in g]
-    assert _mdi_block(g).tolist() == expected
+    assert mdi(g).tolist() == expected
     assert [mdi(x) for x in g] == expected
     assert expected[-1] == 1.0
+
+
+@pytest.mark.parametrize("p", [1, 3, 5, 6])
+def test_mdi_stack_equals_each_matrix_alone(p):
+    # p = 3 and 5 enumerate the assignments, p = 6 takes the Hungarian path
+    rng = np.random.default_rng(10 + p)
+    g = rng.standard_normal((25, p, p)) + 2 * np.eye(p)
+    alone = [mdi(x) for x in g]
+    stacked = mdi(g)
+    assert all(type(v) is float for v in alone)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (25,)
+    assert stacked.tolist() == alone
 
 
 def test_validation_errors():
@@ -123,9 +135,13 @@ def test_validation_errors():
     with pytest.raises(ValueError, match="rank deficient"):
         mdi(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
-        mdi(np.ones((2, 2, 2)))
+        mdi(np.ones((4, 2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        mdi(np.ones((2, 2, 2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        mdi(np.stack([np.eye(2), [[np.inf, 1.0], [1.0, 1.0]]]))
     with pytest.raises(ValueError, match="rank deficient"):
-        _mdi_block(np.stack([np.eye(2), [[0.0, 0.0], [1.0, 1.0]]]))
+        mdi(np.stack([np.eye(2), [[0.0, 0.0], [1.0, 1.0]]]))
     with pytest.raises(ValueError):
         amari(np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
