@@ -7,9 +7,11 @@ Usage, from the root of a checkout:
 
 Each ``--workload name:seed:pairs`` runs ``perfbench/run.py`` untraced
 ``pairs`` times on each side, alternating which side runs first, then
-traced ``--traced`` times on each side.  The change is this checkout's
-working tree; the parent is ``git archive`` of the given revision, unpacked
-into a temporary directory, and each side runs its own ``perfbench/``.
+traced ``--traced`` times on each side.  Both sides run from fresh
+temporary directories, each with its own ``perfbench/``: the parent is
+``git archive`` of the given revision, and the change is a copy of this
+checkout's working-tree files (tracked, or untracked and not ignored), so
+neither side inherits the other's build or benchmark leftovers.
 Every run is a subprocess whose ``perfbench:`` header, metric lines and
 ``perfbench-detail:`` line are parsed, and the 1, 5 and 15 minute load
 averages (``os.getloadavg``) are read just before and just after it.  The
@@ -25,6 +27,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -45,6 +48,16 @@ def export(rev: str, dest: Path) -> Path:
     """Unpack the committed files of ``rev`` into ``dest``."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
+    return dest
+
+
+def export_worktree(dest: Path) -> Path:
+    """Copy this checkout's working-tree files, tracked or untracked and not ignored, into ``dest``."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in filter(None, names.split("\0")):
+        if (ROOT / name).is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
     return dest
 
 
@@ -152,8 +165,9 @@ def main(argv=None) -> int:
         "threads_env": {v: os.environ.get(v) for v in THREAD_VARS},
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
-        trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
+        trees = {"parent": export(args.parent, Path(tmp, "parent")),
+                 "change": export_worktree(Path(tmp, "change"))}
         for name, seed, pairs in args.workload:
             doc["workloads"][name], envs = compare(name, seed, pairs, args.traced,
                                                    args.seconds, trees, declared)

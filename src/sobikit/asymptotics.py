@@ -180,41 +180,41 @@ def _d_tensor(seqs: np.ndarray, lags, beta: np.ndarray,
     beyond, and ``f`` stacks F_0, F_1, ..., zero beyond its length.  In
     the returned D, D[a, b] = D_lm at l, m = positions a, b of (0,) + lags.
     Every entry comes from the cross-products c_ij(s) = sum_k rho_i(k)
-    rho_j(k + s) over all integers k of the even extensions of ``seqs``,
-    one matmul per distinct shift s in {|m - l|, m + l} (evenness gives
-    c(-s) = c(s)).  Off-diagonal entries are (c(|m - l|) + c(m + l)) / 2
-    plus (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij; diagonal
-    entries are c_ii(|m - l|) + c_ii(m + l) + (beta_ii - 3) lambda_l
-    lambda_m.
+    rho_j(k + s) of the even extensions of ``seqs`` (length L = 2n - 1), so
+    c(-s) = c(s) and c_ij = c_ji.  One inverse real FFT of conj(X_i) X_j,
+    X the real FFTs zero-padded to next_fast_len(2L - 1) so that the
+    circular correlation does not wrap, gives c_ij at every shift, exact up
+    to FFT rounding of about 1e-16 max|D|.  Off-diagonal entries are
+    (c(|m - l|) + c(m + l)) / 2 plus (beta_ij - 1) / 4 (F_l + F_l')_ij
+    (F_m + F_m')_ij; diagonal entries are c_ii(|m - l|) + c_ii(m + l) +
+    (beta_ii - 3) lambda_l lambda_m.
     """
     nbytes = 8 * (len(lags) + 1) ** 2 * len(seqs) ** 2
     if nbytes > _D_MAX_BYTES:
         raise ValueError(f"{len(lags)} lags need a {nbytes / 2**20:.0f} MiB D tensor, "
                          f"over the {_D_MAX_BYTES >> 20} MiB bound")
     lags = np.r_[0, np.asarray(lags, dtype=int)]
-    lam = seqs[:, lags].T
+    lam = seqs[:, lags]
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
-    p, n = diag_seqs.shape
-    size = lags.size
-    shifts = np.concatenate([np.abs(lags[:, None] - lags[None, :]),
-                             lags[:, None] + lags[None, :]]).ravel()
-    uniq, where = np.unique(shifts, return_inverse=True)
-    where = where.reshape(2, size, size)
-    c = np.stack([diag_seqs[:, : n - s] @ diag_seqs[:, s:].T for s in uniq])
-    d = c[where[0]]
-    d += c[where[1]]
-    idx = np.arange(p)
-    diag = d[:, :, idx, idx] + (np.diag(beta) - 3.0) * lam[:, None] * lam[None, :]
-    q = 0.25 * (beta - 1.0)
-    np.fill_diagonal(q, 0.0)
-    fl = np.zeros((size, p, p))
+    p, size = len(seqs), lags.size
+    nfft = sp_fft.next_fast_len(2 * diag_seqs.shape[1] - 1, real=True)
+    spec = sp_fft.rfft(diag_seqs, nfft)
+    near, far = np.abs(lags[:, None] - lags[None, :]), lags[:, None] + lags[None, :]
+    d = np.empty((p, p, size, size))  # (i, j, a, b) while built: one block per pair
+    for i in range(p):  # row i against every j >= i holds O(p nfft) at a time
+        r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)
+        r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
+        d[i, i:] = r.take(near, axis=1) + r.take(far, axis=1)
+        d[i + 1:, i] = d[i, i + 1:]
+    q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
+    fl = np.zeros((p, p, size))
     inside = lags < len(f)
-    fl[inside] = f[lags[inside]]
-    fsym = fl + fl.transpose(0, 2, 1)
-    d *= 0.5
-    d += q * (fsym[:, None] * fsym[None, :])
-    d[:, :, idx, idx] = diag
-    return lam[1:], d
+    fl[..., inside] = f[lags[inside]].transpose(1, 2, 0)
+    fsym = fl + fl.transpose(1, 0, 2)
+    d += q[..., None, None] * (fsym[..., :, None] * fsym[..., None, :])
+    idx = np.arange(p)
+    d[idx, idx] += (np.diag(beta) - 3.0)[:, None, None] * lam[:, :, None] * lam[:, None, :]
+    return lam[:, 1:].T, d.transpose(2, 3, 0, 1)
 
 
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:

@@ -16,7 +16,7 @@ from sobikit.asymptotics import (
 )
 from sobikit.autocovariance import _check_lags, autocov_set
 from sobikit.joint_diag import sobi_symmetric_jacobi
-from sobikit.presets import benchmark_model
+from sobikit.presets import benchmark_model, lag_preset
 from sobikit.signal_model import SourceSpec, expand_to_ma, simulate_sources
 
 LAGS = tuple(range(1, 11))
@@ -104,6 +104,103 @@ def test_d_tensor_runs_once_per_model(monkeypatch):
     x = simulate_sources(benchmark_model("c"), T=500, seed=1)
     empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
     assert len(calls) == 2
+
+
+def reference_d_tensor(seqs, lags, beta, f):
+    """lambda rows and D from one (p, n - s) @ (n - s, p) matmul per distinct shift s."""
+    lags = np.r_[0, np.asarray(lags, dtype=int)]
+    lam = seqs[:, lags].T
+    diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
+    p, n = diag_seqs.shape
+    size = lags.size
+    shifts = np.concatenate([np.abs(lags[:, None] - lags[None, :]),
+                             lags[:, None] + lags[None, :]]).ravel()
+    uniq, where = np.unique(shifts, return_inverse=True)
+    where = where.reshape(2, size, size)
+    c = np.stack([diag_seqs[:, : n - s] @ diag_seqs[:, s:].T for s in uniq])
+    d = c[where[0]]
+    d += c[where[1]]
+    idx = np.arange(p)
+    diag = d[:, :, idx, idx] + (np.diag(beta) - 3.0) * lam[:, None] * lam[None, :]
+    q = 0.25 * (beta - 1.0)
+    np.fill_diagonal(q, 0.0)
+    fl = np.zeros((size, p, p))
+    inside = lags < len(f)
+    fl[inside] = f[lags[inside]]
+    fsym = fl + fl.transpose(0, 2, 1)
+    d *= 0.5
+    d += q * (fsym[:, None] * fsym[None, :])
+    d[:, :, idx, idx] = diag
+    return lam[1:], d
+
+
+def assert_kernel_matches_reference(monkeypatch, call):
+    """Run ``call`` and check each D kernel call in it against the matmul reference."""
+    calls = []
+    kernel = asymptotics._d_tensor
+    monkeypatch.setattr(asymptotics, "_d_tensor",
+                        lambda *args: calls.append((args, kernel(*args))) or calls[-1][1])
+    call()
+    assert calls
+    for args, (lam, d) in calls:
+        want_lam, want_d = reference_d_tensor(*args)
+        np.testing.assert_array_equal(lam, want_lam)
+        assert d.shape == want_d.shape
+        # FFT rounding is absolute: about 1e-16 of the largest entry
+        np.testing.assert_allclose(d, want_d, rtol=0, atol=1e-13 * np.abs(want_d).max())
+
+
+@pytest.mark.parametrize("lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))],
+                         ids=["1-10", "preset1", "40-60"])
+@pytest.mark.parametrize("name", "abcd")
+def test_d_kernel_matches_per_shift_matmuls(monkeypatch, name, lags):
+    exps = [expand_to_ma(s) for s in benchmark_model(name)]
+    assert_kernel_matches_reference(monkeypatch, lambda: build_model(exps, lags))
+
+
+def test_d_kernel_matches_per_shift_matmuls_off_normal_beta(monkeypatch):
+    beta = np.array([[5.0, 1.5, 0.8],
+                     [1.5, 4.0, 1.2],
+                     [0.8, 1.2, 3.5]])
+    assert_kernel_matches_reference(
+        monkeypatch, lambda: build_model(sorted_expansions("c"), LAGS, beta=beta))
+
+
+def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
+    x = simulate_sources(benchmark_model("c"), T=2000, seed=5)
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    assert_kernel_matches_reference(monkeypatch, lambda: empirical_asv(x, res, LAGS))
+
+
+def test_near_tied_components_keep_one_order_over_lag_orders():
+    # model (b)'s second and third sources tie on lags 1-3 in exact arithmetic
+    # (sum lambda_k^2 = 0.36 each); in floating point the third is 3 ulp ahead.
+    # Relisting the lags must not reorder them, which would permute the table
+    # (entry (2, 1) moves 63%)
+    exps = [expand_to_ma(s) for s in benchmark_model("b")]
+    ref = build_model(exps, (1, 2, 3))
+    assert ref.order == (0, 2, 1)
+    model = build_model(exps, (3, 1, 2))
+    assert model.order == ref.order
+    np.testing.assert_allclose(asv_symmetric(model).per_element,
+                               asv_symmetric(ref).per_element, rtol=1e-12)
+    relisted = build_model([exps[i] for i in ref.order], (3, 1, 2))
+    assert relisted.order == (0, 1, 2)
+    np.testing.assert_array_equal(asv_symmetric(relisted).per_element,
+                                  asv_symmetric(model).per_element)
+
+
+def test_exact_ties_keep_listed_order():
+    # the two delayed sources have bit-equal criteria on any lag order
+    first = SourceSpec("psi", psi=(0.8, 0.0, 0.6))
+    second = SourceSpec("psi", psi=(0.8, 0.0, 0.0, 0.6))
+    strong = SourceSpec("ar", ar=(0.6,))
+    for tied in ((first, second), (second, first)):
+        exps = [expand_to_ma(s) for s in (strong, *tied)]
+        for lags in ((1, 2, 3), (3, 1, 2)):
+            model = build_model(exps, lags)
+            assert model.order == (0, 1, 2)
+            assert model.expansions[1].psi.size == exps[1].psi.size
 
 
 def test_build_model_validation():

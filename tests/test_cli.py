@@ -23,7 +23,7 @@ from sobikit.joint_diag import (
 )
 from sobikit.metrics import mdi
 from sobikit.presets import benchmark_model, lag_preset
-from sobikit.signal_model import SourceSpec, _plan_sources, simulate_sources
+from sobikit.signal_model import SourceSpec, _plan_sources, expand_to_ma, simulate_sources
 
 
 def write_model(path, components, omega=None, mu=None):
@@ -868,8 +868,12 @@ def test_asv_names_the_formulas_that_fail():
     # on lags 1-3 model (b)'s deflation criteria tie, its symmetric profiles do not
     assert run_main(["asv", "--preset", "b", "--lags", "1-3"]) == (
         1, "", ["error: deflation: identifiability failure"])
+    model = asymptotics.build_model([expand_to_ma(s) for s in benchmark_model("b")], (1, 2, 3))
+    crit = global_criterion(asymptotics.asv_symmetric(model))
     assert run_main(["asv", "--preset", "b", "--lags", "1-3", "--method", "symmetric"]) == (
-        0, "symmetric,global,8.5490072984751428\n", [])
+        0, f"symmetric,global,{crit:.17g}\n", [])
+    # the value of the per-shift matmul D kernel, which the FFT one moved by 2 ulp
+    assert crit == pytest.approx(8.5490072984751428, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("position", [0, 5])
