@@ -19,6 +19,10 @@ file written holds the commits, the machine, every run's end-to-end metrics
 with each side's median and quartiles, the load averages around each
 untraced run, the number of pairs the change won, and each side's median
 per-layer metrics; the first op of each process (cold start) is kept apart.
+Each run's ``correct`` verdict (perfbench's last line) is kept and the
+incorrect runs are counted per side; if any run was not correct, the
+record is still written, then the script names each such run's argv on
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -62,20 +66,22 @@ def export_worktree(dest: Path) -> Path:
 
 
 def parse_run(text: str) -> dict:
-    """The header fields, metrics and detail block of one perfbench run."""
-    run, detail, metrics = None, None, {}
+    """The header fields, metrics, detail block and verdict of one perfbench run."""
+    run, detail, result, metrics = None, None, None, {}
     for line in text.splitlines():
-        if line.startswith("perfbench: "):
+        if line.startswith("{"):
+            result = json.loads(line)
+        elif line.startswith("perfbench: "):
             run = dict(kv.split("=", 1) for kv in line[len("perfbench: "):].split())
         elif line.startswith("perfbench-detail: "):
             detail = json.loads(line[len("perfbench-detail: "):])
         elif run is not None and line.startswith("  ") and " = " in line:
             name, value = line.strip().split(" = ")
             metrics[name] = float(value.split()[0])
-    if run is None or detail is None or not metrics:
+    if run is None or detail is None or result is None or not metrics:
         raise ValueError("no perfbench result in the output")
     return {"attempted": int(run["attempted"]), "failed": int(run["failed"]),
-            "metrics": metrics, "detail": detail}
+            "correct": result["correct"] is True, "metrics": metrics, "detail": detail}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -86,8 +92,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
                           timeout=10 * seconds + 600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr.strip()}")
-    return {**parse_run(proc.stdout), "loadavg": {"before": load_before,
-                                                  "after": os.getloadavg()}}
+    return {**parse_run(proc.stdout), "argv": cmd[1:],
+            "loadavg": {"before": load_before, "after": os.getloadavg()}}
 
 
 def spread(values: list[float]) -> dict:
@@ -99,8 +105,9 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(workload: str, seed: int, pairs: int, traced: int, seconds: float,
-            trees: dict[str, Path], declared: dict) -> tuple[dict, dict]:
-    """One workload's record, and the environment block of each side."""
+            trees: dict[str, Path], declared: dict) -> tuple[dict, dict, list[str]]:
+    """One workload's record, the environment block of each side, and the
+    side and argv of each run that perfbench did not report correct."""
     runs = {side: [] for side in trees}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -115,6 +122,7 @@ def compare(workload: str, seed: int, pairs: int, traced: int, seconds: float,
     out = {"seed": seed, "seconds": seconds, "pairs": pairs, "traced_runs": traced,
            "failed": {s: sum(r["failed"] for r in runs[s] + traces[s]) for s in trees},
            "attempted": {s: sum(r["attempted"] for r in runs[s] + traces[s]) for s in trees},
+           "incorrect": {s: sum(not r["correct"] for r in runs[s] + traces[s]) for s in trees},
            "cold_first_op_s": {s: statistics.median(r["detail"]["cold_first_op_s"]
                                                     for r in runs[s]) for s in trees},
            "loadavg": {s: [r["loadavg"] for r in runs[s]] for s in trees},
@@ -132,7 +140,9 @@ def compare(workload: str, seed: int, pairs: int, traced: int, seconds: float,
         names = traces[side][0]["metrics"] if traces[side] else {}
         out["per_layer"][side] = {n: statistics.median(r["metrics"][n] for r in traces[side])
                                   for n in names}
-    return out, {side: runs[side][0]["detail"]["env"] for side in trees}
+    incorrect = [f"{s}: {' '.join(r['argv'])}" for s in trees
+                 for r in runs[s] + traces[s] if not r["correct"]]
+    return out, {side: runs[side][0]["detail"]["env"] for side in trees}, incorrect
 
 
 def parse_args(argv=None):
@@ -165,17 +175,21 @@ def main(argv=None) -> int:
         "threads_env": {v: os.environ.get(v) for v in THREAD_VARS},
         "workloads": {},
     }
+    incorrect = []
     with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
         trees = {"parent": export(args.parent, Path(tmp, "parent")),
                  "change": export_worktree(Path(tmp, "change"))}
         for name, seed, pairs in args.workload:
-            doc["workloads"][name], envs = compare(name, seed, pairs, args.traced,
-                                                   args.seconds, trees, declared)
+            doc["workloads"][name], envs, bad = compare(name, seed, pairs, args.traced,
+                                                        args.seconds, trees, declared)
+            incorrect += bad
     for side, env in envs.items():
         doc[side]["source_sha256"] = env["source_sha256"]
     doc["machine"] = {k: envs["change"][k] for k in MACHINE_KEYS}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    for run in incorrect:
+        print(f"not correct: {run}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

@@ -76,7 +76,8 @@ class AsymptoticModel:
         the (i, j) elements of sqrt(T) times the symmetrized sample
         autocovariances at lags l and m.
     order : tuple of int
-        Row r is the component listed at position order[r].
+        Row r is the component listed at position order[r]; ties in the
+        sort key keep the listed order (see ``build_model``).
     """
 
     expansions: tuple[MAExpansion, ...]
@@ -115,11 +116,6 @@ class ASVTable:
         return self.per_element.sum(axis=1)
 
 
-def _normal_beta(p: int) -> np.ndarray:
-    """beta of independent standard normal innovations: 3 on the diagonal, 1 off it."""
-    return np.eye(p) * 2.0 + 1.0
-
-
 def build_model(
     expansions: Sequence[MAExpansion],
     lags: Sequence[int],
@@ -127,22 +123,27 @@ def build_model(
 ) -> AsymptoticModel:
     """Assemble lambda_kj and every D_lm that the ASV formulas read.
 
-    Components, and ``beta`` given in listed order, are sorted into the
-    order the deflation estimator extracts them: decreasing sum over
-    ``lags`` of lambda_k^2, ties kept in listed order; the permutation is
-    kept as ``order``.  F_k is formed for k below the longest weight
-    support and is zero from there on, so every D_lm sum is exact on the
-    horizon max(lags) + that support.  ``beta`` defaults to independent
-    normal innovations (diagonal 3, off-diagonal 1).
+    One direct sum per component gives its lambda_k below its weight
+    support; exact zeros stay zero, and lambda is zero from the support on,
+    so every D_lm sum is exact.  That sequence gives the unit-variance
+    check, the order, lambda at ``lags`` and the normal-innovation D
+    (``_d_tensor``).  Components, and ``beta`` given in listed order, are
+    sorted into deflation's extraction order, decreasing sum over ``lags``
+    of lambda_k^2; sorted sums that differ from a neighbour by at most
+    ``_IDENT_TOL`` times the largest sum are tied, and a chain of ties
+    keeps the listed order.  The permutation is kept as ``order``.
+    ``beta`` defaults to independent normal innovations (diagonal 3,
+    off-diagonal 1); other beta adds (beta_ii - 3) lambda_l lambda_m to the
+    diagonal of D and (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij off
+    it, (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}, formed at (0,) + lags only.
     """
     expansions = tuple(expansions)
     p = len(expansions)
     if p == 0:
         raise ValueError("at least one expansion is required")
     lags = _check_lags(lags)
-    support = max(e.psi.size for e in expansions)
 
-    beta = _normal_beta(p) if beta is None else np.asarray(beta, dtype=float)
+    beta = np.eye(p) * 2.0 + 1.0 if beta is None else np.asarray(beta, dtype=float)
     if beta.shape != (p, p):
         raise ValueError("beta must be p x p")
     if np.max(np.abs(beta - beta.T)) > 1e-12:
@@ -150,51 +151,59 @@ def build_model(
     if np.any(np.diag(beta) < 1.0):
         raise ValueError("beta diagonal must be at least 1")
 
-    padded = np.zeros((p, support))
+    support = max(e.psi.size for e in expansions)
+    seqs = np.zeros((p, max(lags, default=0) + support + 1))
+    padded = np.zeros_like(seqs)
     for i, e in enumerate(expansions):
         padded[i, : e.psi.size] = e.psi
-    strength = sum(((padded[:, : support - k] * padded[:, k:]).sum(axis=1) ** 2
-                    for k in lags if k < support), np.zeros(p))
-    order = np.argsort(-strength, kind="stable")
-    padded = padded[order]
-    beta = beta[np.ix_(order, order)]
-
-    f = np.stack([padded[:, : support - k] @ padded[:, k:].T for k in range(support)])
-    if np.max(np.abs(np.diag(f[0]) - 1.0)) > 1e-12:
+        seqs[i, : e.psi.size] = np.correlate(e.psi, e.psi, "full")[e.psi.size - 1:]
+    if np.max(np.abs(seqs[:, 0] - 1.0)) > 1e-12:
         raise ValueError("expansions are not unit variance")
+    strength = (seqs[:, list(lags)] ** 2).sum(axis=1)
+    order = np.argsort(-strength, kind="stable")
+    run = np.r_[0, np.cumsum(-np.diff(strength[order]) > _IDENT_TOL * strength.max())]
+    order = order[np.lexsort((order, run))]
+    expansions = tuple(expansions[i] for i in order)
+    beta = beta[np.ix_(order, order)]
+    seqs, padded = seqs[order], padded[order]
 
-    seqs = np.zeros((p, max(lags, default=0) + support + 1))
-    seqs[:, :support] = np.diagonal(f, axis1=1, axis2=2).T
-    lam, d = _d_tensor(seqs, lags, beta, f)
-    return AsymptoticModel(
-        expansions=tuple(expansions[i] for i in order), beta=beta, lags=lags,
-        lam=lam, d=d, order=tuple(order.tolist()),
-    )
+    lam, d = _d_tensor(seqs, lags)
+    # the fourth-moment terms, each zero for normal innovations
+    kurt = np.diag(beta) - 3.0
+    if kurt.any():
+        at = seqs[:, [0, *lags]].T  # lambda at (0,) + lags
+        idx = np.arange(p)
+        d[:, :, idx, idx] += kurt * at[:, None] * at[None, :]
+    q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
+    if q.any():
+        f = np.stack([padded[:, :support] @ padded[:, k : k + support].T for k in (0, *lags)])
+        fsym = f + f.transpose(0, 2, 1)
+        d += q * (fsym[:, None] * fsym[None, :])
+    return AsymptoticModel(expansions=expansions, beta=beta, lags=lags, lam=lam, d=d,
+                           order=tuple(order.tolist()))
 
 
-def _d_tensor(seqs: np.ndarray, lags, beta: np.ndarray,
-              f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda rows (lag x component) and every D_lm over (0,) + lags.
+def _d_tensor(seqs: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
+    """lambda rows (lag x component) and the normal-innovation D_lm over (0,) + lags.
 
     ``seqs`` (p, n) holds each component's lambda_k for 0 <= k < n, zero
-    beyond, and ``f`` stacks F_0, F_1, ..., zero beyond its length.  In
-    the returned D, D[a, b] = D_lm at l, m = positions a, b of (0,) + lags.
-    Every entry comes from the cross-products c_ij(s) = sum_k rho_i(k)
-    rho_j(k + s) of the even extensions of ``seqs`` (length L = 2n - 1), so
-    c(-s) = c(s) and c_ij = c_ji.  One inverse real FFT of conj(X_i) X_j,
-    X the real FFTs zero-padded to next_fast_len(2L - 1) so that the
-    circular correlation does not wrap, gives c_ij at every shift, exact up
-    to FFT rounding of about 1e-16 max|D|.  Off-diagonal entries are
-    (c(|m - l|) + c(m + l)) / 2 plus (beta_ij - 1) / 4 (F_l + F_l')_ij
-    (F_m + F_m')_ij; diagonal entries are c_ii(|m - l|) + c_ii(m + l) +
-    (beta_ii - 3) lambda_l lambda_m.
+    beyond.  In the returned D, D[a, b] = D_lm at l, m = positions a, b of
+    (0,) + lags, for independent normal innovations (beta_ii = 3, beta_ij =
+    1): the part that the exact and the plug-in tables share, to which
+    ``build_model`` adds the fourth-moment terms of other beta.  Every
+    entry comes from the cross-products c_ij(s) = sum_k rho_i(k) rho_j(k +
+    s) of the even extensions of ``seqs`` (length L = 2n - 1), so c(-s) =
+    c(s) and c_ij = c_ji.  One inverse real FFT of conj(X_i) X_j, X the
+    real FFTs zero-padded to next_fast_len(2L - 1) so that the circular
+    correlation does not wrap, gives c_ij at every shift, exact up to FFT
+    rounding of about 1e-16 max|D|.  Off-diagonal entries are (c(|m - l|) +
+    c(m + l)) / 2; diagonal entries are c_ii(|m - l|) + c_ii(m + l).
     """
     nbytes = 8 * (len(lags) + 1) ** 2 * len(seqs) ** 2
     if nbytes > _D_MAX_BYTES:
         raise ValueError(f"{len(lags)} lags need a {nbytes / 2**20:.0f} MiB D tensor, "
                          f"over the {_D_MAX_BYTES >> 20} MiB bound")
     lags = np.r_[0, np.asarray(lags, dtype=int)]
-    lam = seqs[:, lags]
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
     p, size = len(seqs), lags.size
     nfft = sp_fft.next_fast_len(2 * diag_seqs.shape[1] - 1, real=True)
@@ -206,15 +215,7 @@ def _d_tensor(seqs: np.ndarray, lags, beta: np.ndarray,
         r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
         d[i, i:] = r.take(near, axis=1) + r.take(far, axis=1)
         d[i + 1:, i] = d[i, i + 1:]
-    q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
-    fl = np.zeros((p, p, size))
-    inside = lags < len(f)
-    fl[..., inside] = f[lags[inside]].transpose(1, 2, 0)
-    fsym = fl + fl.transpose(1, 0, 2)
-    d += q[..., None, None] * (fsym[..., :, None] * fsym[..., None, :])
-    idx = np.arange(p)
-    d[idx, idx] += (np.diag(beta) - 3.0)[:, None, None] * lam[:, :, None] * lam[:, None, :]
-    return lam[:, 1:].T, d.transpose(2, 3, 0, 1)
+    return seqs[:, lags[1:]].T, d.transpose(2, 3, 0, 1)
 
 
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
@@ -385,8 +386,7 @@ def empirical_asv(
         acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
         rho[i] = (acov / divisor) / (acov[0] / T)
     rho[:, 0] = 1.0
-    # beta_ij = 1 off the diagonal drops the F_l cross term: no F_k is needed
-    lam, d = _d_tensor(rho, lags, _normal_beta(p), np.zeros((0, p, p)))
+    lam, d = _d_tensor(rho, lags)
     try:
         return _asv_table(lam, d, formulas)
     except _NegativeASV:

@@ -26,6 +26,10 @@ __all__ = [
 
 # each kind and the coefficient fields it takes
 _FIELDS = {"ma": ("ma",), "ar": ("ar",), "arma": ("ar", "ma"), "psi": ("psi",)}
+# an expansion keeps weights until the tail beyond holds below _TAIL_TOL of
+# the total squared mass, and at most _MAX_LEN of them
+_TAIL_TOL = 1e-12
+_MAX_LEN = 10**5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,9 +65,6 @@ class SourceSpec:
         object.__setattr__(self, "ma", tuple(float(a) for a in self.ma))
         if self.psi is not None:
             object.__setattr__(self, "psi", tuple(float(a) for a in self.psi))
-        self.validate()
-
-    def validate(self):
         if self.kind not in _FIELDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
         for name in ("ar", "ma", "psi"):
@@ -150,22 +151,21 @@ def _squares(w: np.ndarray) -> tuple[np.ndarray, float]:
     return sq, total
 
 
-def _expand_raw(spec: SourceSpec, tol: float = 1e-12,
-                max_len: int = 10**5) -> tuple[np.ndarray, float]:
-    """Unnormalized psi weights, truncated to relative tail mass below tol,
-    and the root of the sum of their squares."""
+def _expand_raw(spec: SourceSpec) -> tuple[np.ndarray, float]:
+    """Unnormalized psi weights, truncated to relative tail mass below
+    ``_TAIL_TOL``, and the root of the sum of their squares."""
     if spec.psi:
         raw = np.asarray(spec.psi, dtype=float)
     elif spec.ar:
-        raw = _expand_filter(spec, tol, max_len)
+        raw = _expand_filter(spec)
     else:
         raw = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
-    if raw.size > max_len:
+    if raw.size > _MAX_LEN:
         raise ValueError("truncation overflow")
     return raw, np.sqrt(_squares(raw)[1])
 
 
-def _expand_filter(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
+def _expand_filter(spec: SourceSpec) -> np.ndarray:
     """Impulse response of an AR or ARMA spec, truncated as ``_expand_raw`` says."""
     b = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
     a = np.r_[1.0, -np.asarray(spec.ar, dtype=float)]
@@ -178,40 +178,36 @@ def _expand_filter(spec: SourceSpec, tol: float, max_len: int) -> np.ndarray:
         # tail(N) = mass strictly beyond index N within the buffer, summed
         # from the small end so values far below eps*total stay resolvable;
         # the buffer is long enough once its last tenth holds so little mass
-        # that anything beyond it cannot disturb a tol-level truncation
+        # that anything beyond it cannot disturb a _TAIL_TOL-level truncation
         tail = np.r_[np.cumsum(sq[::-1])[::-1][1:], 0.0]
-        if tail[(9 * n) // 10] < 1e-4 * tol * total:
-            hits = np.nonzero(tail < tol * total)[0]
+        if tail[(9 * n) // 10] < 1e-4 * _TAIL_TOL * total:
+            hits = np.nonzero(tail < _TAIL_TOL * total)[0]
             n_keep = hits[0] + 1
-            if n_keep > max_len:
+            if n_keep > _MAX_LEN:
                 raise ValueError("truncation overflow")
             return psi[:n_keep]
-        if n >= max_len:
+        if n >= _MAX_LEN:
             raise ValueError("truncation overflow")
-        n = min(2 * n, max_len)
+        n = min(2 * n, _MAX_LEN)
 
 
-def expand_to_ma(spec: SourceSpec, tol: float = 1e-12, max_len: int = 10**5) -> MAExpansion:
+def expand_to_ma(spec: SourceSpec) -> MAExpansion:
     """Compute the truncated, unit-variance MA(inf) weights of a source.
 
     For AR/MA/ARMA kinds the weights start from psi_0 = 1 before
     normalization and follow psi_j = theta_j + sum_i phi_i psi_{j-i}
     (theta_j = 0 beyond the MA order).  The sequence is truncated at the
-    first N whose excluded tail mass is below ``tol`` relative to the total,
-    then scaled to unit variance, sum(psi**2) = 1.
+    first N whose excluded tail mass is below ``_TAIL_TOL`` (1e-12) of the
+    total, then scaled to unit variance, sum(psi**2) = 1.
 
     Raises
     ------
     ValueError
         ``"not causal"`` for an AR polynomial with roots on or inside the
         unit circle; ``"truncation overflow"`` when no valid truncation
-        point exists within ``max_len`` weights.
+        point exists within ``_MAX_LEN`` (10^5) weights.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    raw, norm = _expand_raw(spec, tol, max_len)
+    raw, norm = _expand_raw(spec)
     return MAExpansion(psi=raw / norm)
 
 

@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from sobikit import asymptotics
+from sobikit import asymptotics, signal_model
 from sobikit.asymptotics import (
     asv,
     asv_deflation,
@@ -32,8 +32,8 @@ FROZEN_GLOBAL = {
 }
 
 
-def sorted_expansions(name, tol=1e-12):
-    exps = [expand_to_ma(s, tol=tol) for s in benchmark_model(name)]
+def sorted_expansions(name):
+    exps = [expand_to_ma(s) for s in benchmark_model(name)]
 
     def strength(e):
         return sum(float(np.dot(e.psi[:-k], e.psi[k:])) ** 2
@@ -42,16 +42,21 @@ def sorted_expansions(name, tol=1e-12):
     return sorted(exps, key=strength, reverse=True)
 
 
+def ar1_expansions(monkeypatch, phis, tol):
+    """AR(1) expansions truncated at relative tail mass ``tol``."""
+    monkeypatch.setattr(signal_model, "_TAIL_TOL", tol)
+    return [expand_to_ma(SourceSpec("ar", ar=(phi,))) for phi in phis]
+
+
 def white_model(p, lags=(1, 2)):
     exps = [expand_to_ma(SourceSpec("psi", psi=(1.0,))) for _ in range(p)]
     return build_model(exps, lags)
 
 
-def test_ar1_lambdas_are_powers():
+def test_ar1_lambdas_are_powers(monkeypatch):
     # deep truncation: lambda at lag 10 of the phi = 0.2 component loses a
     # relative 0.04^(N-9) to the cut tail, so N must comfortably exceed 20
-    exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-30)
-            for phi in (0.6, 0.4, 0.2)]
+    exps = ar1_expansions(monkeypatch, (0.6, 0.4, 0.2), 1e-30)
     model = build_model(exps, LAGS)
     np.testing.assert_allclose(model.lam, [[0.6**k, 0.4**k, 0.2**k] for k in LAGS],
                                atol=1e-12)
@@ -134,52 +139,66 @@ def reference_d_tensor(seqs, lags, beta, f):
     return lam[1:], d
 
 
-def assert_kernel_matches_reference(monkeypatch, call):
-    """Run ``call`` and check each D kernel call in it against the matmul reference."""
-    calls = []
-    kernel = asymptotics._d_tensor
-    monkeypatch.setattr(asymptotics, "_d_tensor",
-                        lambda *args: calls.append((args, kernel(*args))) or calls[-1][1])
-    call()
-    assert calls
-    for args, (lam, d) in calls:
-        want_lam, want_d = reference_d_tensor(*args)
-        np.testing.assert_array_equal(lam, want_lam)
-        assert d.shape == want_d.shape
-        # FFT rounding is absolute: about 1e-16 of the largest entry
-        np.testing.assert_allclose(d, want_d, rtol=0, atol=1e-13 * np.abs(want_d).max())
+def reference_model_d(model):
+    """lambda rows and D of ``model`` from the full F_k stack and per-shift matmuls."""
+    p = len(model.expansions)
+    support = max(e.psi.size for e in model.expansions)
+    padded = np.zeros((p, support))
+    for i, e in enumerate(model.expansions):
+        padded[i, : e.psi.size] = e.psi
+    f = np.stack([padded[:, : support - k] @ padded[:, k:].T for k in range(support)])
+    seqs = np.zeros((p, max(model.lags, default=0) + support + 1))
+    seqs[:, :support] = np.diagonal(f, axis1=1, axis2=2).T
+    return reference_d_tensor(seqs, model.lags, model.beta, f)
+
+
+def assert_d_matches_reference(lam, d, want_lam, want_d):
+    np.testing.assert_allclose(lam, want_lam, rtol=0, atol=1e-15)
+    assert d.shape == want_d.shape
+    # FFT rounding is absolute: about 1e-16 of the largest entry
+    np.testing.assert_allclose(d, want_d, rtol=0, atol=1e-13 * np.abs(want_d).max())
 
 
 @pytest.mark.parametrize("lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))],
                          ids=["1-10", "preset1", "40-60"])
 @pytest.mark.parametrize("name", "abcd")
-def test_d_kernel_matches_per_shift_matmuls(monkeypatch, name, lags):
-    exps = [expand_to_ma(s) for s in benchmark_model(name)]
-    assert_kernel_matches_reference(monkeypatch, lambda: build_model(exps, lags))
+def test_d_kernel_matches_per_shift_matmuls(name, lags):
+    model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags)
+    assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
 
 
-def test_d_kernel_matches_per_shift_matmuls_off_normal_beta(monkeypatch):
+def test_d_kernel_matches_per_shift_matmuls_off_normal_beta():
     beta = np.array([[5.0, 1.5, 0.8],
                      [1.5, 4.0, 1.2],
                      [0.8, 1.2, 3.5]])
-    assert_kernel_matches_reference(
-        monkeypatch, lambda: build_model(sorted_expansions("c"), LAGS, beta=beta))
+    model = build_model(sorted_expansions("c"), LAGS, beta=beta)
+    assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
 
 
 def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
+    # the plug-in is normal-innovation: beta 3 on the diagonal, 1 off it, and no F_k
     x = simulate_sources(benchmark_model("c"), T=2000, seed=5)
     res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
-    assert_kernel_matches_reference(monkeypatch, lambda: empirical_asv(x, res, LAGS))
+    calls = []
+    kernel = asymptotics._d_tensor
+    monkeypatch.setattr(asymptotics, "_d_tensor",
+                        lambda *args: calls.append((args, kernel(*args))) or calls[-1][1])
+    empirical_asv(x, res, LAGS)
+    assert len(calls) == 1
+    (rho, lags), (lam, d) = calls[0]
+    p = len(rho)
+    want = reference_d_tensor(rho, lags, np.eye(p) * 2.0 + 1.0, np.zeros((0, p, p)))
+    assert_d_matches_reference(lam, d, *want)
 
 
 def test_near_tied_components_keep_one_order_over_lag_orders():
     # model (b)'s second and third sources tie on lags 1-3 in exact arithmetic
     # (sum lambda_k^2 = 0.36 each); in floating point the third is 3 ulp ahead.
-    # Relisting the lags must not reorder them, which would permute the table
-    # (entry (2, 1) moves 63%)
+    # The tie keeps the listed order, and relisting the lags must not reorder
+    # them, which would permute the table (entry (2, 1) moves 63%)
     exps = [expand_to_ma(s) for s in benchmark_model("b")]
     ref = build_model(exps, (1, 2, 3))
-    assert ref.order == (0, 2, 1)
+    assert ref.order == (0, 1, 2)
     model = build_model(exps, (3, 1, 2))
     assert model.order == ref.order
     np.testing.assert_allclose(asv_symmetric(model).per_element,
@@ -201,6 +220,22 @@ def test_exact_ties_keep_listed_order():
             model = build_model(exps, lags)
             assert model.order == (0, 1, 2)
             assert model.expansions[1].psi.size == exps[1].psi.size
+
+
+@pytest.mark.parametrize("gap, stronger_leads", [(1e-14, False), (1e-11, True)])
+def test_criteria_within_tolerance_keep_listed_order(gap, stronger_leads):
+    # the sources differ only in psi_2, so their criteria, lambda_2^2, differ
+    # by about 0.13 gap, against _IDENT_TOL times the AR source's 0.54
+    weaker = SourceSpec("psi", psi=(0.8, 0.0, 0.6))
+    stronger = SourceSpec("psi", psi=(0.8, 0.0, 0.6 * (1.0 + gap)))
+    strong = SourceSpec("ar", ar=(0.6,))
+    for listed in ((weaker, stronger), (stronger, weaker)):
+        exps = [expand_to_ma(s) for s in (strong, *listed)]
+        want = (0, 1, 2)
+        if stronger_leads:
+            want = (0, 1 + listed.index(stronger), 1 + listed.index(weaker))
+        for lags in ((1, 2, 3), (3, 1, 2)):
+            assert build_model(exps, lags).order == want
 
 
 def test_build_model_validation():
@@ -260,8 +295,9 @@ def test_vlm_matches_monte_carlo_vec_covariance():
 
 
 @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
-def test_global_criteria_match_independent_evaluation(name):
-    model = build_model(sorted_expansions(name, tol=1e-14), LAGS)
+def test_global_criteria_match_independent_evaluation(monkeypatch, name):
+    monkeypatch.setattr(signal_model, "_TAIL_TOL", 1e-14)
+    model = build_model(sorted_expansions(name), LAGS)
     d = global_criterion(asv_deflation(model))
     s = global_criterion(asv_symmetric(model))
     ref_d, ref_s = FROZEN_GLOBAL[name]
@@ -330,10 +366,9 @@ def closed_form_ar1_dlm(phis, l, m, i, j, k_range=500):
     return total
 
 
-def test_deflation_entry_matches_symbolic_ar1():
+def test_deflation_entry_matches_symbolic_ar1(monkeypatch):
     phis = (0.6, 0.4, 0.2)
-    exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-15)
-            for phi in phis]
+    exps = ar1_expansions(monkeypatch, phis, 1e-15)
     table = asv_deflation(build_model(exps, LAGS)).per_element
 
     lam = np.array([[phi**k for phi in phis] for k in LAGS])
@@ -350,10 +385,9 @@ def test_deflation_entry_matches_symbolic_ar1():
     np.testing.assert_allclose(table[j, i], expected, rtol=1e-9)
 
 
-def test_symmetric_entry_matches_symbolic_ar1():
+def test_symmetric_entry_matches_symbolic_ar1(monkeypatch):
     phis = (0.6, 0.4, 0.2)
-    exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-15)
-            for phi in phis]
+    exps = ar1_expansions(monkeypatch, phis, 1e-15)
     table = asv_symmetric(build_model(exps, LAGS)).per_element
 
     lam = np.array([[phi**k for phi in phis] for k in LAGS])
@@ -588,13 +622,12 @@ def test_empirical_asv_matches_direct_formulas(lags):
             reference_empirical_asv(x, res.gamma, lags, method), rtol=1e-12)
 
 
-def test_exact_tables_beyond_weight_support_match_closed_form_ar1():
+def test_exact_tables_beyond_weight_support_match_closed_form_ar1(monkeypatch):
     # lags past the weight support give shifts m + l at which every
     # cross-product of the truncated autocovariance sequences is zero; the
     # deep truncation keeps c(10) of the phi = 0.2 component exact
     phis = (0.6, 0.4, 0.2)
-    exps = [expand_to_ma(SourceSpec("ar", ar=(phi,)), tol=1e-30)
-            for phi in phis]
+    exps = ar1_expansions(monkeypatch, phis, 1e-30)
     lags = (1, 2, 3, 90, 100)
     model = build_model(exps, lags)
     assert max(lags) > max(e.psi.size for e in exps)

@@ -1,0 +1,38 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def perfbench_output(correct):
+    """Canned stdout of one perfbench run, in the format perfbench/run.py prints."""
+    return "\n".join([
+        "perfbench: workload=asv_tables seed=7 trace=0 scale=full attempted=12 "
+        "failed=0 fail_ratio=0",
+        "  ops_per_s = 412.5 1/s",
+        "  op_ms_p50 = 2.31 ms",
+        "perfbench-detail: " + json.dumps({"env": {"nproc": 2}}),
+        json.dumps({"correct": correct, "attempted": 12, "failed": 0,
+                    "metrics": {"ops_per_s": {"value": 412.5, "unit": "1/s"}}}),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_parse_run_keeps_the_verdict(correct):
+    run = bench_record.parse_run(perfbench_output(correct))
+    assert run["correct"] is correct
+    assert (run["attempted"], run["failed"]) == (12, 0)
+    assert run["metrics"] == {"ops_per_s": 412.5, "op_ms_p50": 2.31}
+    assert run["detail"] == {"env": {"nproc": 2}}
+
+
+def test_parse_run_needs_the_result_line():
+    text = perfbench_output(True).splitlines()[:-1]
+    with pytest.raises(ValueError, match="no perfbench result"):
+        bench_record.parse_run("\n".join(text))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobikit import signal_model
 from sobikit.signal_model import (
     MAExpansion,
     MixingModel,
@@ -77,20 +78,13 @@ def test_subnormal_ar_coefficients_are_causal(ar):
     assert SourceSpec("ar", ar=ar).ar == ar
 
 
-def test_truncation_overflow():
+def test_truncation_overflow(monkeypatch):
+    monkeypatch.setattr(signal_model, "_MAX_LEN", 10)
     with pytest.raises(ValueError, match="truncation overflow"):
-        expand_to_ma(SourceSpec("ar", ar=(0.999,)), max_len=10)
+        expand_to_ma(SourceSpec("ar", ar=(0.999,)))
+    monkeypatch.setattr(signal_model, "_MAX_LEN", 2)
     with pytest.raises(ValueError, match="truncation overflow"):
-        expand_to_ma(SourceSpec("psi", psi=(1.0, 0.5, 0.25)), max_len=2)
-
-
-def test_expansion_settings_are_checked():
-    spec = SourceSpec("ar", ar=(0.5,))
-    for tol in (0.0, -1e-12):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            expand_to_ma(spec, tol=tol)
-    with pytest.raises(ValueError, match="max_len must be at least 1"):
-        expand_to_ma(spec, max_len=0)
+        expand_to_ma(SourceSpec("psi", psi=(1.0, 0.5, 0.25)))
 
 
 def test_slowly_mixing_ar_still_expands():
