@@ -152,8 +152,8 @@ def build_model(
         raise ValueError("beta diagonal must be at least 1")
 
     support = max(e.psi.size for e in expansions)
+    padded = np.zeros((p, support))
     seqs = np.zeros((p, max(lags, default=0) + support + 1))
-    padded = np.zeros_like(seqs)
     for i, e in enumerate(expansions):
         padded[i, : e.psi.size] = e.psi
         seqs[i, : e.psi.size] = np.correlate(e.psi, e.psi, "full")[e.psi.size - 1:]
@@ -176,7 +176,7 @@ def build_model(
         d[:, :, idx, idx] += kurt * at[:, None] * at[None, :]
     q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
     if q.any():
-        f = np.stack([padded[:, :support] @ padded[:, k : k + support].T for k in (0, *lags)])
+        f = np.stack([padded[:, : max(support - k, 0)] @ padded[:, k:].T for k in (0, *lags)])
         fsym = f + f.transpose(0, 2, 1)
         d += q * (fsym[:, None] * fsym[None, :])
     return AsymptoticModel(expansions=expansions, beta=beta, lags=lags, lam=lam, d=d,

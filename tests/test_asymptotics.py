@@ -159,19 +159,25 @@ def assert_d_matches_reference(lam, d, want_lam, want_d):
     np.testing.assert_allclose(d, want_d, rtol=0, atol=1e-13 * np.abs(want_d).max())
 
 
-@pytest.mark.parametrize("lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))],
-                         ids=["1-10", "preset1", "40-60"])
+KERNEL_LAGS = pytest.mark.parametrize(
+    "lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))], ids=["1-10", "preset1", "40-60"])
+
+
+@KERNEL_LAGS
 @pytest.mark.parametrize("name", "abcd")
 def test_d_kernel_matches_per_shift_matmuls(name, lags):
     model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags)
     assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
 
 
-def test_d_kernel_matches_per_shift_matmuls_off_normal_beta():
+@KERNEL_LAGS
+@pytest.mark.parametrize("name", "abcd")
+def test_d_kernel_matches_per_shift_matmuls_off_normal_beta(name, lags):
+    # lags inside and beyond the weight supports (11 for model a, 142 for c)
     beta = np.array([[5.0, 1.5, 0.8],
                      [1.5, 4.0, 1.2],
                      [0.8, 1.2, 3.5]])
-    model = build_model(sorted_expansions("c"), LAGS, beta=beta)
+    model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags, beta=beta)
     assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
 
 
