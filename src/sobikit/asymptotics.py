@@ -152,10 +152,8 @@ def build_model(
         raise ValueError("beta diagonal must be at least 1")
 
     support = max(e.psi.size for e in expansions)
-    padded = np.zeros((p, support))
     seqs = np.zeros((p, max(lags, default=0) + support + 1))
     for i, e in enumerate(expansions):
-        padded[i, : e.psi.size] = e.psi
         seqs[i, : e.psi.size] = np.correlate(e.psi, e.psi, "full")[e.psi.size - 1:]
     if np.max(np.abs(seqs[:, 0] - 1.0)) > 1e-12:
         raise ValueError("expansions are not unit variance")
@@ -165,17 +163,16 @@ def build_model(
     order = order[np.lexsort((order, run))]
     expansions = tuple(expansions[i] for i in order)
     beta = beta[np.ix_(order, order)]
-    seqs, padded = seqs[order], padded[order]
+    seqs = seqs[order]
 
     lam, d = _d_tensor(seqs, lags)
     # the fourth-moment terms, each zero for normal innovations
-    kurt = np.diag(beta) - 3.0
-    if kurt.any():
-        at = seqs[:, [0, *lags]].T  # lambda at (0,) + lags
-        idx = np.arange(p)
-        d[:, :, idx, idx] += kurt * at[:, None] * at[None, :]
+    at = seqs[:, [0, *lags]].T  # lambda at (0,) + lags
+    idx = np.arange(p)
+    d[:, :, idx, idx] += (np.diag(beta) - 3.0) * at[:, None] * at[None, :]
     q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
     if q.any():
+        padded = np.array([np.pad(e.psi, (0, support - e.psi.size)) for e in expansions])
         f = np.stack([padded[:, : max(support - k, 0)] @ padded[:, k:].T for k in (0, *lags)])
         fsym = f + f.transpose(0, 2, 1)
         d += q * (fsym[:, None] * fsym[None, :])

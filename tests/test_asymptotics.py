@@ -152,33 +152,26 @@ def reference_model_d(model):
     return reference_d_tensor(seqs, model.lags, model.beta, f)
 
 
-def assert_d_matches_reference(lam, d, want_lam, want_d):
-    np.testing.assert_allclose(lam, want_lam, rtol=0, atol=1e-15)
+def assert_d_matches_reference(d, want_d):
     assert d.shape == want_d.shape
     # FFT rounding is absolute: about 1e-16 of the largest entry
     np.testing.assert_allclose(d, want_d, rtol=0, atol=1e-13 * np.abs(want_d).max())
 
 
-KERNEL_LAGS = pytest.mark.parametrize(
-    "lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))], ids=["1-10", "preset1", "40-60"])
-
-
-@KERNEL_LAGS
+@pytest.mark.parametrize("beta", [None, np.array([[5.0, 1.5, 0.8],
+                                                  [1.5, 4.0, 1.2],
+                                                  [0.8, 1.2, 3.5]])],
+                         ids=["normal", "off-normal"])
+@pytest.mark.parametrize("lags", [LAGS, lag_preset("preset1"), tuple(range(40, 61))],
+                         ids=["1-10", "preset1", "40-60"])
 @pytest.mark.parametrize("name", "abcd")
-def test_d_kernel_matches_per_shift_matmuls(name, lags):
-    model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags)
-    assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
-
-
-@KERNEL_LAGS
-@pytest.mark.parametrize("name", "abcd")
-def test_d_kernel_matches_per_shift_matmuls_off_normal_beta(name, lags):
+def test_d_kernel_matches_per_shift_matmuls(name, lags, beta):
     # lags inside and beyond the weight supports (11 for model a, 142 for c)
-    beta = np.array([[5.0, 1.5, 0.8],
-                     [1.5, 4.0, 1.2],
-                     [0.8, 1.2, 3.5]])
     model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags, beta=beta)
-    assert_d_matches_reference(model.lam, model.d, *reference_model_d(model))
+    want_lam, want_d = reference_model_d(model)
+    # lambda comes from np.correlate here and from matmul diagonals there
+    np.testing.assert_allclose(model.lam, want_lam, rtol=0, atol=1e-15)
+    assert_d_matches_reference(model.d, want_d)
 
 
 def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
@@ -193,8 +186,10 @@ def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
     assert len(calls) == 1
     (rho, lags), (lam, d) = calls[0]
     p = len(rho)
-    want = reference_d_tensor(rho, lags, np.eye(p) * 2.0 + 1.0, np.zeros((0, p, p)))
-    assert_d_matches_reference(lam, d, *want)
+    want_lam, want_d = reference_d_tensor(rho, lags, np.eye(p) * 2.0 + 1.0,
+                                          np.zeros((0, p, p)))
+    np.testing.assert_array_equal(lam, want_lam)
+    assert_d_matches_reference(d, want_d)
 
 
 def test_near_tied_components_keep_one_order_over_lag_orders():
