@@ -124,18 +124,19 @@ def build_model(
     """Assemble lambda_kj and every D_lm that the ASV formulas read.
 
     One direct sum per component gives its lambda_k below its weight
-    support; exact zeros stay zero, and lambda is zero from the support on,
-    so every D_lm sum is exact.  That sequence gives the unit-variance
-    check, the order, lambda at ``lags`` and the normal-innovation D
-    (``_d_tensor``).  Components, and ``beta`` given in listed order, are
+    support, with exact zeros kept, and one zero column past the longest
+    support stands for lambda at every later lag: every D_lm sum is exact,
+    and no cost grows with the largest lag.  That sequence gives the
+    unit-variance check, lambda at (0,) + ``lags`` and the normal-innovation
+    D (``_d_tensor``).  Components, and ``beta`` given in listed order, are
     sorted into deflation's extraction order, decreasing sum over ``lags``
     of lambda_k^2; sorted sums that differ from a neighbour by at most
-    ``_IDENT_TOL`` times the largest sum are tied, and a chain of ties
-    keeps the listed order.  The permutation is kept as ``order``.
-    ``beta`` defaults to independent normal innovations (diagonal 3,
-    off-diagonal 1); other beta adds (beta_ii - 3) lambda_l lambda_m to the
-    diagonal of D and (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij off
-    it, (F_k)_ij = sum_t psi_{t,i} psi_{t+k,j}, formed at (0,) + lags only.
+    ``_IDENT_TOL`` times the largest sum are tied, and a chain of ties keeps
+    the listed order.  The permutation is kept as ``order``.  ``beta``
+    defaults to independent normal innovations (diagonal 3, off-diagonal 1);
+    other beta adds (beta_ii - 3) lambda_l lambda_m to the diagonal of D and
+    (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij off it, (F_k)_ij =
+    sum_t psi_{t,i} psi_{t+k,j}, formed at (0,) + lags only.
     """
     expansions = tuple(expansions)
     p = len(expansions)
@@ -152,22 +153,22 @@ def build_model(
         raise ValueError("beta diagonal must be at least 1")
 
     support = max(e.psi.size for e in expansions)
-    seqs = np.zeros((p, max(lags, default=0) + support + 1))
+    seqs = np.zeros((p, support + 1))
     for i, e in enumerate(expansions):
         seqs[i, : e.psi.size] = np.correlate(e.psi, e.psi, "full")[e.psi.size - 1:]
     if np.max(np.abs(seqs[:, 0] - 1.0)) > 1e-12:
         raise ValueError("expansions are not unit variance")
-    strength = (seqs[:, list(lags)] ** 2).sum(axis=1)
+    at = seqs[:, np.minimum((0, *lags), support)]  # lambda at (0,) + lags
+    strength = (at[:, 1:] ** 2).sum(axis=1)
     order = np.argsort(-strength, kind="stable")
     run = np.r_[0, np.cumsum(-np.diff(strength[order]) > _IDENT_TOL * strength.max())]
     order = order[np.lexsort((order, run))]
     expansions = tuple(expansions[i] for i in order)
     beta = beta[np.ix_(order, order)]
-    seqs = seqs[order]
+    seqs, at = seqs[order], at[order].T
 
-    lam, d = _d_tensor(seqs, lags)
+    d = _d_tensor(seqs, lags)
     # the fourth-moment terms, each zero for normal innovations
-    at = seqs[:, [0, *lags]].T  # lambda at (0,) + lags
     idx = np.arange(p)
     d[:, :, idx, idx] += (np.diag(beta) - 3.0) * at[:, None] * at[None, :]
     q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
@@ -176,25 +177,26 @@ def build_model(
         f = np.stack([padded[:, : max(support - k, 0)] @ padded[:, k:].T for k in (0, *lags)])
         fsym = f + f.transpose(0, 2, 1)
         d += q * (fsym[:, None] * fsym[None, :])
-    return AsymptoticModel(expansions=expansions, beta=beta, lags=lags, lam=lam, d=d,
+    return AsymptoticModel(expansions=expansions, beta=beta, lags=lags, lam=at[1:], d=d,
                            order=tuple(order.tolist()))
 
 
-def _d_tensor(seqs: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
-    """lambda rows (lag x component) and the normal-innovation D_lm over (0,) + lags.
+def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
+    """The normal-innovation D_lm over (0,) + lags.
 
     ``seqs`` (p, n) holds each component's lambda_k for 0 <= k < n, zero
     beyond.  In the returned D, D[a, b] = D_lm at l, m = positions a, b of
     (0,) + lags, for independent normal innovations (beta_ii = 3, beta_ij =
     1): the part that the exact and the plug-in tables share, to which
-    ``build_model`` adds the fourth-moment terms of other beta.  Every
-    entry comes from the cross-products c_ij(s) = sum_k rho_i(k) rho_j(k +
-    s) of the even extensions of ``seqs`` (length L = 2n - 1), so c(-s) =
-    c(s) and c_ij = c_ji.  One inverse real FFT of conj(X_i) X_j, X the
-    real FFTs zero-padded to next_fast_len(2L - 1) so that the circular
-    correlation does not wrap, gives c_ij at every shift, exact up to FFT
-    rounding of about 1e-16 max|D|.  Off-diagonal entries are (c(|m - l|) +
-    c(m + l)) / 2; diagonal entries are c_ii(|m - l|) + c_ii(m + l).
+    ``build_model`` adds the fourth-moment terms of other beta.  Every entry
+    comes from the cross-products c_ij(s) = sum_k rho_i(k) rho_j(k + s) of
+    the even extensions of ``seqs`` (length L = 2n - 1), so c(-s) = c(s),
+    c_ij = c_ji and c(s) = 0 for s >= L.  One inverse real FFT of conj(X_i)
+    X_j, X the real FFTs zero-padded to next_fast_len(2L - 1) so that the
+    circular correlation does not wrap, gives c_ij below L, exact up to FFT
+    rounding of about 1e-16 max|D|; shifts from L on read one zeroed column,
+    so the cost is O(p^2 n log n + K^2 p^2).  Off-diagonal entries are
+    (c(|m - l|) + c(m + l)) / 2; diagonal ones c_ii(|m - l|) + c_ii(m + l).
     """
     nbytes = 8 * (len(lags) + 1) ** 2 * len(seqs) ** 2
     if nbytes > _D_MAX_BYTES:
@@ -202,17 +204,18 @@ def _d_tensor(seqs: np.ndarray, lags) -> tuple[np.ndarray, np.ndarray]:
                          f"over the {_D_MAX_BYTES >> 20} MiB bound")
     lags = np.r_[0, np.asarray(lags, dtype=int)]
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
-    p, size = len(seqs), lags.size
-    nfft = sp_fft.next_fast_len(2 * diag_seqs.shape[1] - 1, real=True)
+    p, size, L = len(seqs), lags.size, diag_seqs.shape[1]
+    nfft = sp_fft.next_fast_len(2 * L - 1, real=True)
     spec = sp_fft.rfft(diag_seqs, nfft)
-    near, far = np.abs(lags[:, None] - lags[None, :]), lags[:, None] + lags[None, :]
+    near, far = np.minimum([abs(lags[:, None] - lags), lags[:, None] + lags], L)
     d = np.empty((p, p, size, size))  # (i, j, a, b) while built: one block per pair
     for i in range(p):  # row i against every j >= i holds O(p nfft) at a time
         r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)
         r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
+        r[:, L] = 0.0  # c(L) = 0 but for FFT rounding
         d[i, i:] = r.take(near, axis=1) + r.take(far, axis=1)
         d[i + 1:, i] = d[i, i + 1:]
-    return seqs[:, lags[1:]].T, d.transpose(2, 3, 0, 1)
+    return d.transpose(2, 3, 0, 1)
 
 
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
@@ -383,9 +386,8 @@ def empirical_asv(
         acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
         rho[i] = (acov / divisor) / (acov[0] / T)
     rho[:, 0] = 1.0
-    lam, d = _d_tensor(rho, lags)
     try:
-        return _asv_table(lam, d, formulas)
+        return _asv_table(rho[:, list(lags)].T, _d_tensor(rho, lags), formulas)
     except _NegativeASV:
         raise ValueError(
             f"negative plug-in ASV entry for lags {' '.join(map(str, lags))} at kmax = {kmax}, "

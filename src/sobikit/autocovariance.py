@@ -71,13 +71,13 @@ def _products(x: np.ndarray, lags: Sequence[int], centered: bool) -> np.ndarray:
 
 
 def _check_lags(lags: Sequence[int], T: int | None = None) -> tuple[int, ...]:
-    """The lags as ints, checked against each other and, if given, against T."""
+    """The lags as ints: distinct, positive and at most T - 2, or below 2**62."""
     lags = tuple(int(k) for k in lags)
     if len(set(lags)) != len(lags):
         raise ValueError("duplicate lags")
     if any(k <= 0 for k in lags):
         raise ValueError("lags must be positive")
-    if T is not None and any(k > T - 2 for k in lags):
+    if any(k > (2**62 - 1 if T is None else T - 2) for k in lags):
         raise ValueError("lag out of range")
     return lags
 

@@ -125,7 +125,7 @@ def _exact_model(specs, lags):
 
 def cmd_simulate(args) -> int:
     specs, omega, mu = _load_model(args.model, args.preset)
-    z = simulate_sources(specs, args.T, args.seed, burn_in=args.burn_in)
+    z = simulate_sources(specs, args.T, args.seed)
     if args.mix:
         p = len(specs)
         model = MixingModel(omega if omega is not None else np.eye(p), mu)
@@ -289,7 +289,7 @@ def cmd_benchmark(args) -> int:
             print(f"warning: {method}: no exact ASV ({exc})", file=sys.stderr)
             expected[method] = float("nan")
 
-    plan = signal_model._plan_sources(specs, args.burn_in)
+    plan = signal_model._plan_sources(specs)
     tasks = [(plan, lags, t_values, reps, methods, args)
              for reps in _rep_blocks(args.reps, args.jobs)]
     if args.jobs > 1:
@@ -318,8 +318,8 @@ def cmd_lagselect(args) -> int:
         raise ValueError("need at least two candidate lag sets")
     p = x.shape[0]
     rows = [_int(r, "--rows") for r in args.rows.split(",")] if args.rows else range(1, p + 1)
-    if any(not 1 <= r <= p for r in rows):
-        raise ValueError(f"--rows must lie in 1..{p}")
+    if len(set(rows)) < len(rows) or any(not 1 <= r <= p for r in rows):
+        raise ValueError(f"--rows must be distinct and lie in 1..{p}")
     rows_sel = np.asarray(rows) - 1
     x = autocovariance._as_series(x)
     lag_sets = [autocovariance._check_lags(lags, x.shape[1]) for lags in lag_sets]
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--preset", help="bundled benchmark model a..d")
     sp.add_argument("--T", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--burn-in", type=int, default=2000)
     sp.add_argument("--mix", action="store_true",
                     help="apply the model's mixing matrix and location")
     sp.add_argument("--header", action="store_true")
@@ -424,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--T-values", dest="T_values", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--burn-in", type=int, default=2000)
     sp.add_argument("--jobs", type=int, default=1)
     _add_solver_options(sp)
     sp.add_argument("--output")

@@ -30,6 +30,8 @@ _FIELDS = {"ma": ("ma",), "ar": ("ar",), "arma": ("ar", "ma"), "psi": ("psi",)}
 # the total squared mass, and at most _MAX_LEN of them
 _TAIL_TOL = 1e-12
 _MAX_LEN = 10**5
+# warm-up samples an AR/ARMA recursion runs before the kept ones
+_BURN_IN = 2000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -226,10 +228,8 @@ class _SourcePlan(NamedTuple):
     components: tuple[_Component, ...]
 
 
-def _plan_sources(specs, burn_in=2000) -> _SourcePlan:
+def _plan_sources(specs) -> _SourcePlan:
     """The part of ``simulate_sources`` that depends on neither T nor the seed."""
-    if burn_in < 0:
-        raise ValueError("burn_in must be non-negative")
     specs = list(specs)
     if not specs:
         raise ValueError("at least one source spec is required")
@@ -239,7 +239,7 @@ def _plan_sources(specs, burn_in=2000) -> _SourcePlan:
         if s.ar:
             b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
             a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]
-            parts.append((burn_in, burn_in, b, a, norm))
+            parts.append((_BURN_IN, _BURN_IN, b, a, norm))
         else:
             parts.append((raw.size - 1, 0, raw / norm, None, norm))
     pre = max(part[0] for part in parts)
@@ -262,17 +262,16 @@ def simulate_sources(
     specs: Sequence[SourceSpec],
     T: int,
     seed,
-    burn_in: int = 2000,
     innovations: Callable[[np.random.Generator, tuple], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Simulate a p x T matrix of mutually independent unit-variance sources.
 
     Each component is driven by its own row of a common innovation array, so
     innovations are aligned in time across components.  AR/ARMA kinds run
-    their exact recursion and discard ``burn_in`` warm-up samples before
-    rescaling by the variance of the full MA(inf) representation; MA and
-    explicit-psi kinds are finite convolutions with the normalized weights
-    and need only the weight-support warm-up.
+    their exact recursion through a fixed warm-up of ``_BURN_IN`` (2000)
+    discarded samples, then rescale by the variance of the full MA(inf)
+    representation; MA and explicit-psi kinds are finite convolutions with
+    the normalized weights and need only the weight-support warm-up.
 
     Parameters
     ----------
@@ -286,7 +285,7 @@ def simulate_sources(
     """
     if T < 2:
         raise ValueError("T must be at least 2")
-    plan = _plan_sources(specs, burn_in)
+    plan = _plan_sources(specs)
     shape = (len(plan.components), plan.pre + T)
     rng = np.random.default_rng(seed)
     if innovations is None:

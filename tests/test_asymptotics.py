@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,13 +179,14 @@ def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
     # the plug-in is normal-innovation: beta 3 on the diagonal, 1 off it, and no F_k
     x = simulate_sources(benchmark_model("c"), T=2000, seed=5)
     res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
-    calls = []
-    kernel = asymptotics._d_tensor
+    calls = []  # the kernel's arguments, then the lambda and D that the table reads
+    kernel, table = asymptotics._d_tensor, asymptotics._asv_table
     monkeypatch.setattr(asymptotics, "_d_tensor",
-                        lambda *args: calls.append((args, kernel(*args))) or calls[-1][1])
+                        lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(asymptotics, "_asv_table",
+                        lambda *args: calls.append(args) or table(*args))
     empirical_asv(x, res, LAGS)
-    assert len(calls) == 1
-    (rho, lags), (lam, d) = calls[0]
+    (rho, lags), (lam, d, _) = calls
     p = len(rho)
     want_lam, want_d = reference_d_tensor(rho, lags, np.eye(p) * 2.0 + 1.0,
                                           np.zeros((0, p, p)))
@@ -255,7 +257,8 @@ def test_build_model_validation():
         build_model(exps, (1,), beta=np.eye(2) * 3.0)
 
 
-@pytest.mark.parametrize("lags", [(1, 1), (0,), (2, -1)])
+# with no series to bound them, lags stay below 2**62, so that l + m fits an int64
+@pytest.mark.parametrize("lags", [(1, 1), (0,), (2, -1), (1, 2**62), (1, 10**20)])
 def test_lag_checks_are_autocov_sets(lags):
     # build_model and empirical_asv refuse what autocov_set refuses, in its words
     with pytest.raises(ValueError) as want:
@@ -546,6 +549,27 @@ def test_d_tensor_size_is_bounded(monkeypatch):
     with pytest.raises(ValueError, match="^5000 lags need a 1717 MiB D tensor, "
                                          "over the 256 MiB bound$"):
         build_model(exps, range(1, 5001))
+
+
+@pytest.mark.parametrize("name", "abcd")
+def test_lags_past_every_support_read_zero_at_no_cost(name):
+    # lambda and every cross-product vanish past the weight supports (142 at
+    # most), so how far a lag lies beyond them changes neither D nor its cost
+    exps = [expand_to_ma(s) for s in benchmark_model(name)]
+    near = build_model(exps, (1, 10**4))
+    tracemalloc.start()
+    try:
+        far = build_model(exps, (1, 10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    # D_lm, l < m = 10**4, sums cross-products at shifts m - l and m + l, past the supports
+    assert not near.d[:2, 2].any()
+    for model in (far, build_model(exps, (1, 2**62 - 1))):
+        assert model.order == near.order
+        np.testing.assert_array_equal(model.lam, near.lam)
+        np.testing.assert_array_equal(model.d, near.d)
 
 
 def test_asv_table_row_sums():

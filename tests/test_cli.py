@@ -628,7 +628,7 @@ def test_lagselect_row_subset_and_output(dataset, tmp_path, capsys):
     assert len(body) == 3
 
 
-@pytest.mark.parametrize("rows", ["7", "0", "1,4"])
+@pytest.mark.parametrize("rows", ["7", "0", "1,4", "1,1"])
 def test_lagselect_rejects_rows_out_of_range(dataset, rows, capsys):
     assert main(["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5",
                  "--rows", rows]) == 1

@@ -205,8 +205,6 @@ def test_simulate_argument_validation():
     with pytest.raises(ValueError):
         simulate_sources([spec], T=1, seed=0)
     with pytest.raises(ValueError):
-        simulate_sources([spec], T=100, seed=0, burn_in=-1)
-    with pytest.raises(ValueError):
         simulate_sources([], T=100, seed=0)
 
 
