@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as sp_fft
 
-from .autocovariance import _check_lags
+from .autocovariance import _as_series, _check_lags
 from .joint_diag import UnmixingResult
 from .signal_model import MAExpansion
 
@@ -191,11 +191,13 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     ``build_model`` adds the fourth-moment terms of other beta.  Every entry
     comes from the cross-products c_ij(s) = sum_k rho_i(k) rho_j(k + s) of
     the even extensions of ``seqs`` (length L = 2n - 1), so c(-s) = c(s),
-    c_ij = c_ji and c(s) = 0 for s >= L.  One inverse real FFT of conj(X_i)
-    X_j, X the real FFTs zero-padded to next_fast_len(2L - 1) so that the
-    circular correlation does not wrap, gives c_ij below L, exact up to FFT
-    rounding of about 1e-16 max|D|; shifts from L on read one zeroed column,
-    so the cost is O(p^2 n log n + K^2 p^2).  Off-diagonal entries are
+    c_ij = c_ji and c(s) = 0 for s >= L.  D reads c at shifts up to
+    S = min(2 max(lags), L), and shift L is one zeroed column (c(L) = 0 but
+    for FFT rounding).  One inverse real FFT of conj(X_i) X_j, X the real
+    FFTs zero-padded to a period of next_fast_len(L + min(S, L - 1)), gives
+    c_ij at every shift read below L clear of the circular wrap, exact up to
+    FFT rounding of about 1e-16 max|D|, so the cost is O(p^2 (L + S)
+    log(L + S) + K^2 p^2), whatever the lags.  Off-diagonal entries are
     (c(|m - l|) + c(m + l)) / 2; diagonal ones c_ii(|m - l|) + c_ii(m + l).
     """
     nbytes = 8 * (len(lags) + 1) ** 2 * len(seqs) ** 2
@@ -205,14 +207,14 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     lags = np.r_[0, np.asarray(lags, dtype=int)]
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
     p, size, L = len(seqs), lags.size, diag_seqs.shape[1]
-    nfft = sp_fft.next_fast_len(2 * L - 1, real=True)
+    nfft = sp_fft.next_fast_len(L + min(2 * int(lags.max()), L - 1), real=True)
     spec = sp_fft.rfft(diag_seqs, nfft)
     near, far = np.minimum([abs(lags[:, None] - lags), lags[:, None] + lags], L)
     d = np.empty((p, p, size, size))  # (i, j, a, b) while built: one block per pair
     for i in range(p):  # row i against every j >= i holds O(p nfft) at a time
         r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)
         r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
-        r[:, L] = 0.0  # c(L) = 0 but for FFT rounding
+        r[:, L] = 0.0
         d[i, i:] = r.take(near, axis=1) + r.take(far, axis=1)
         d[i + 1:, i] = d[i, i + 1:]
     return d.transpose(2, 3, 0, 1)
@@ -356,7 +358,9 @@ def empirical_asv(
     one (divisor T).  All lags of a component come from one real FFT of the
     series zero-padded to at least T + kmax points, so the cost is
     O(T log T) per component rather than O(T kmax); the autocorrelations
-    then feed the same D_lm kernel as the exact tables.
+    then feed the same D_lm kernel as the exact tables.  ``x`` is checked
+    as ``autocov_set`` checks it, and the table does not depend on its
+    memory layout.
 
     ``result.method`` picks the formulas as ``asv`` does: deflation, or
     symmetric for both symmetric solvers and, on exactly one lag, AMUSE.
@@ -364,7 +368,7 @@ def empirical_asv(
     negative entry, which a horizon too long for T gives: the message names
     the lags, kmax and T.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _as_series(x)
     lags = _check_lags(lags)
     if not lags:
         raise ValueError("lags must be positive and non-empty")
@@ -372,19 +376,23 @@ def empirical_asv(
     if kmax is None:
         kmax = 12 * max(lags)
     p, T = x.shape
+    if result.gamma.shape != (p, p):
+        raise ValueError(f"the fit unmixes {result.gamma.shape[1]} rows, the series has {p}")
     kmax = min(kmax, T - 2)
     if kmax < max(lags):
         raise ValueError("horizon too small")
 
-    z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
     # one row at a time: a (p, nfft) transform would raise the peak memory
     nfft = sp_fft.next_fast_len(T + kmax, real=True)
-    divisor = T - np.arange(kmax + 1)
-    rho = np.empty((p, kmax + 1))
-    for i in range(p):
-        spec = sp_fft.rfft(z[i], nfft)
-        acov = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
-        rho[i] = (acov / divisor) / (acov[0] / T)
+    acov = np.empty((p, kmax + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
+        for i in range(p):
+            spec = sp_fft.rfft(z[i], nfft)
+            acov[i] = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
+    if not np.all(np.isfinite(acov)):
+        raise ValueError("series values too large: their autocovariances overflow")
+    rho = (acov / (T - np.arange(kmax + 1))) / (acov[:, :1] / T)
     rho[:, 0] = 1.0
     try:
         return _asv_table(rho[:, list(lags)].T, _d_tensor(rho, lags), formulas)

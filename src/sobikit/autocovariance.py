@@ -29,7 +29,10 @@ class AutocovSet:
 
 
 def _as_series(x) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    """x as a finite p x T float array, T >= 2, with C-contiguous rows: numpy
+    sums a contiguous row pairwise and a strided one sequentially, so a copy
+    of a strided input makes no result depend on the input's memory layout."""
+    x = np.ascontiguousarray(np.atleast_2d(x), dtype=float)
     if x.ndim != 2:
         raise ValueError("series must be a p x T matrix")
     if x.shape[1] < 2:
@@ -84,7 +87,8 @@ def _check_lags(lags: Sequence[int], T: int | None = None) -> tuple[int, ...]:
 
 def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
     """Assemble S_0 together with S_k for each requested positive lag; with
-    ``centered`` the sample mean over all T columns is removed first."""
+    ``centered`` the sample mean over all T columns is removed first.  The
+    matrices do not depend on the memory layout of ``x`` (``_as_series``)."""
     x = _as_series(x)
     lags = _check_lags(lags, x.shape[1])
     s = _products(x, (0,) + lags, centered)

@@ -105,8 +105,8 @@ def _is_number(text: str) -> bool:
 
 
 def _read_series(path: str) -> np.ndarray:
-    """The CSV at ``path``, rows = time points, as a p x T array; a first row
-    none of whose cells is a number is a header."""
+    """The CSV at ``path``, rows = time points, as a C-contiguous p x T array;
+    a first row none of whose cells is a number is a header."""
     with open(path) as fh:
         first = fh.readline()
     skip = int(not any(_is_number(tok) for tok in first.strip().split(",")))
@@ -115,7 +115,7 @@ def _read_series(path: str) -> np.ndarray:
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path} holds no data")
-    return data.T
+    return np.ascontiguousarray(data.T)
 
 
 def _exact_model(specs, lags):

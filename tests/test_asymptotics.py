@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
                                           np.zeros((0, p, p)))
     np.testing.assert_array_equal(lam, want_lam)
     assert_d_matches_reference(d, want_d)
+
+
+@pytest.mark.parametrize("lags", [tuple(range(1, 31)), (1, 60, 90)],
+                         ids=["2max<L", "2max>=L"])
+def test_d_kernel_period_clears_every_shift_it_reads(lags):
+    # n = 61 gives L = 121.  Lags 1-30 read shifts up to 60, and L + 60 - 1 =
+    # 180 is itself a fast length, so a period one short would wrap c(-120)
+    # onto shift 60; lags 60 and 90 read shift L - 1 = 120 and every one up to L
+    rho = np.random.default_rng(8).standard_normal((3, 61))
+    rho[:, 0] = 1.0
+    # the reference needs the zeros past rho written out up to twice the last lag
+    padded = np.pad(rho, ((0, 0), (0, 2 * max(lags))))
+    _, want_d = reference_d_tensor(padded, lags, np.eye(3) * 2.0 + 1.0, np.zeros((0, 3, 3)))
+    assert_d_matches_reference(asymptotics._d_tensor(rho, lags), want_d)
 
 
 def test_near_tied_components_keep_one_order_over_lag_orders():
@@ -536,6 +551,28 @@ def test_empirical_asv_validation():
         empirical_asv(x, as_amuse, (1, 2))
     np.testing.assert_array_equal(empirical_asv(x, as_amuse, (1,)).per_element,
                                   empirical_asv(x, res, (1,)).per_element)
+
+
+@pytest.mark.parametrize("case", ["nan", "overflow", "3-d", "rows"])
+def test_empirical_asv_refuses_what_autocov_set_refuses(case):
+    # in autocov_set's words, with no numpy warning on the way
+    x = simulate_sources(benchmark_model("c"), T=600, seed=2)
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    bad = x.copy()
+    bad[1, 7] = np.nan
+    data, message = {
+        "nan": (bad, "series contains non-finite values"),
+        "overflow": (x * 1e200, "series values too large: their autocovariances overflow"),
+        "3-d": (x[None], "series must be a p x T matrix"),
+        "rows": (x[:2], "the fit unmixes 3 rows, the series has 2"),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            empirical_asv(data, res, LAGS)
+        if case != "rows":
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                autocov_set(data, LAGS, centered=True)
 
 
 def test_d_tensor_size_is_bounded(monkeypatch):

@@ -106,6 +106,34 @@ def dataset(tmp_path_factory):
     return path
 
 
+def test_read_series_rows_are_contiguous(dataset):
+    # loadtxt reads rows = time points; its transpose would be strided
+    x = _read_series(dataset)
+    assert x.shape == (3, 8000) and x.flags.c_contiguous
+
+
+def test_results_do_not_depend_on_the_memory_layout():
+    # numpy sums a contiguous row pairwise and a strided one sequentially, so
+    # every entry point must see the series on C-contiguous rows
+    x = simulate_sources(benchmark_model("c"), 2000, 4)
+    lags = (1, 2, 3, 5, 8)
+    args = cli.build_parser().parse_args(["lagselect", "--data", "x.csv", "--lag-sets", "1;2"])
+
+    def outputs(series):
+        acs = autocov_set(series, lags, centered=True)
+        fits = [cli._METHODS[name][0](acs, args) for name in cli._METHODS]
+        tables = [asymptotics.empirical_asv(series, fit, lags).per_element
+                  for fit in fits if fit.method != "amuse"]  # amuse takes one lag
+        return [acs.s0, acs.sk, *(f.gamma for f in fits), *tables]
+
+    want = outputs(x)
+    for view in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2],
+                 np.flip(np.flip(x, axis=1).copy(), axis=1)):
+        assert not view.flags.c_contiguous
+        for got, expected in zip(outputs(view), want, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_separate_report_fields(dataset, tmp_path, capsys):
     out = str(tmp_path / "sep")
     assert main(["separate", "--data", dataset, "--lags", "1-10",
