@@ -15,10 +15,11 @@ neither side inherits the other's build or benchmark leftovers.
 Every run is a subprocess whose ``perfbench:`` header, metric lines and
 ``perfbench-detail:`` line are parsed, and the 1, 5 and 15 minute load
 averages (``os.getloadavg``) are read just before and just after it.  The
-file written holds the commits, the machine, every run's end-to-end metrics
-with each side's median and quartiles, the load averages around each
-untraced run, the number of pairs the change won, and each side's median
-per-layer metrics; the first op of each process (cold start) is kept apart.
+file written holds the commits, each side's line count of
+``src/sobikit/*.py``, the machine, every run's end-to-end metrics with each
+side's median and quartiles, the load averages around each untraced run,
+the number of pairs the change won, and each side's median per-layer
+metrics; the first op of each process (cold start) is kept apart.
 Each run's ``correct`` verdict (perfbench's last line) is kept and the
 incorrect runs are counted per side; if any run was not correct, the
 record is still written, then the script names each such run's argv on
@@ -63,6 +64,12 @@ def export_worktree(dest: Path) -> Path:
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(ROOT / name, dest / name)
     return dest
+
+
+def source_lines(tree: Path) -> int:
+    """Lines of the tree's ``src/sobikit/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "sobikit").glob("*.py"))
 
 
 def parse_run(text: str) -> dict:
@@ -179,6 +186,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_") as tmp:
         trees = {"parent": export(args.parent, Path(tmp, "parent")),
                  "change": export_worktree(Path(tmp, "change"))}
+        for side, tree in trees.items():
+            doc[side]["source_lines"] = source_lines(tree)
         for name, seed, pairs in args.workload:
             doc["workloads"][name], envs, bad = compare(name, seed, pairs, args.traced,
                                                         args.seconds, trees, declared)

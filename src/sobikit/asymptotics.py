@@ -392,7 +392,10 @@ def empirical_asv(
             acov[i] = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
     if not np.all(np.isfinite(acov)):
         raise ValueError("series values too large: their autocovariances overflow")
-    rho = (acov / (T - np.arange(kmax + 1))) / (acov[:, :1] / T)
+    var = acov[:, :1] / T
+    if np.any(var <= 0):
+        raise ValueError("series values too small: a source's lag-0 autocovariance is zero")
+    rho = (acov / (T - np.arange(kmax + 1))) / var
     rho[:, 0] = 1.0
     try:
         return _asv_table(rho[:, list(lags)].T, _d_tensor(rho, lags), formulas)

@@ -46,28 +46,22 @@ def _check_finite(x: np.ndarray):
         raise ValueError("series contains non-finite values")
 
 
-def _lag_product(x: np.ndarray, k: int) -> np.ndarray:
-    """S_k of validated (and, if wanted, already centered) series x (..., p, T).
-
-    Leading axes are a batch: stacked matmul rounds each series exactly as
-    the one-series product does.
-    """
-    T = x.shape[-1]
-    if k == 0:
-        m = (x @ x.mT) / T
-    else:
-        a = x[..., : T - k] @ x[..., k:].mT
-        m = (a + a.mT) / (2 * (T - k))
-    return (m + m.mT) / 2
-
-
 def _products(x: np.ndarray, lags: Sequence[int], centered: bool) -> np.ndarray:
-    """The stack of S_k, k in ``lags``, of validated series x (p, T); ValueError,
-    with no numpy warning, where one of them leaves the float range."""
+    """The stack of S_k, k in ``lags`` with 0 first, of validated series x (p, T), by
+    one matrix product per lag and one symmetrization over the lag axis; ValueError,
+    with no numpy warning, where one of them leaves the float range.  ``centered``
+    centres x in place: a copy per Monte Carlo replicate costs time."""
+    T = x.shape[1]
+    out = np.empty((len(lags), x.shape[0], x.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
         if centered:
-            x = x - x.mean(axis=1, keepdims=True)
-        out = np.stack([_lag_product(x, k) for k in lags])
+            x -= x.mean(axis=1, keepdims=True)
+        out[0] = x @ x.T / T
+        for a, k in enumerate(lags[1:], start=1):
+            out[a] = x[:, : T - k] @ x[:, k:].T
+        shifts = np.asarray(lags[1:], dtype=float)
+        out[1:] = (out[1:] + out[1:].mT) / (2.0 * (T - shifts))[:, None, None]
+        out = (out + out.mT) / 2
     if not np.all(np.isfinite(out)):
         raise ValueError("series values too large: their autocovariances overflow")
     return out
@@ -91,7 +85,7 @@ def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
     matrices do not depend on the memory layout of ``x`` (``_as_series``)."""
     x = _as_series(x)
     lags = _check_lags(lags, x.shape[1])
-    s = _products(x, (0,) + lags, centered)
+    s = _products(x.copy() if centered else x, (0,) + lags, centered)
     return AutocovSet(s0=s[0], sk=s[1:], lags=lags)
 
 

@@ -196,10 +196,6 @@ def cmd_asv(args) -> int:
 # that per-call overhead on p x p matrices stops dominating, small enough
 # that the stacked lag matrices of a block stay small.
 _BLOCK_REPS = 256
-# Upper bound on the bytes of simulated series held at once, over all T
-# values: the reps of a block are simulated and reduced to lag matrices a
-# chunk at a time.
-_CHUNK_BYTES = 1 << 20
 
 
 def _rep_blocks(reps: int, jobs: int) -> list[range]:
@@ -209,37 +205,30 @@ def _rep_blocks(reps: int, jobs: int) -> list[range]:
 
 
 def _block_lag_matrices(plan, lags, t_values, reps, seed) -> dict[int, autocovariance.AutocovSet]:
-    """Centered lag matrices of the reps' series, per T, batched over the reps.
+    """Centered lag matrices of the reps' series, per T, stacked over the reps.
 
     Rep r draws its innovations once, from ``default_rng((seed, r))``, for
     the longest T; a shorter T reads a prefix of that draw, which is the whole
-    draw simulate_sources makes at that T.  Each chunk of reps is simulated
-    at every T into reused buffers and reduced at once into its rows of the
-    result.  Every matrix equals, bit for bit, what autocov_set gives on that
-    rep's series alone, whatever the chunk size.
+    draw simulate_sources makes at that T.  Each rep is simulated at every T
+    into a reused buffer and reduced by autocov_set's product code into its
+    rows of the result, so every matrix equals, bit for bit, what autocov_set
+    gives on that rep's series alone.
     """
     t_values = sorted(set(t_values))
     lags = autocovariance._check_lags(lags, t_values[0])
     p, B = len(plan.components), len(reps)
     out = {T: autocovariance.AutocovSet(np.empty((B, p, p)), np.empty((B, len(lags), p, p)), lags)
            for T in t_values}
-    size = min(B, max(1, _CHUNK_BYTES // (8 * p * sum(t_values))))
     eps = np.empty(p * (plan.pre + t_values[-1]))
-    series = [np.empty((size, p, T)) for T in t_values]
-    for lo in range(0, B, size):
-        rs = reps[lo: lo + size]
-        zs = [z[: len(rs)] for z in series]
-        for c, rep in enumerate(rs):
-            np.random.default_rng((seed, rep)).standard_normal(out=eps)
-            for z in zs:
-                signal_model._filter_sources(
-                    plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z[c])
-        for z, acs in zip(zs, out.values()):
+    series = [np.empty((p, T)) for T in t_values]
+    for b, rep in enumerate(reps):
+        np.random.default_rng((seed, rep)).standard_normal(out=eps)
+        for z, acs in zip(series, out.values()):
+            signal_model._filter_sources(
+                plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z)
             autocovariance._check_finite(z)
-            z -= z.mean(axis=-1, keepdims=True)
-            acs.s0[lo: lo + len(rs)] = autocovariance._lag_product(z, 0)
-            for a, k in enumerate(lags):
-                acs.sk[lo: lo + len(rs), a] = autocovariance._lag_product(z, k)
+            s = autocovariance._products(z, (0,) + lags, centered=True)
+            acs.s0[b], acs.sk[b] = s[0], s[1:]
     return out
 
 
@@ -279,6 +268,9 @@ def cmd_benchmark(args) -> int:
     for method in methods:
         if method not in _METHODS:
             raise ValueError(f"--methods: {method!r} is not one of {', '.join(_METHODS)}")
+    for option, values in (("--T-values", t_values), ("--methods", methods)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{option}: an entry is repeated")
 
     expected = {}
     model = _exact_model(specs, lags)

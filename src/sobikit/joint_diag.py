@@ -88,13 +88,39 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return np.where(flip[..., None], -U, U)
 
 
-def _finish(U, R, reorder=True):
-    """Signed rows of a block U (B, p, p), and each objective; with ``reorder`` the
-    rows are also ordered by decreasing criterion, exact ties in the solver's order."""
+def _finish(U, R, iterations, converged, reorder=True) -> BlockFit:
+    """The BlockFit of a block U (B, p, p): rows signed, and with ``reorder`` ordered
+    by decreasing criterion, exact ties in the solver's order."""
     crit = _criterion_rows(U, R)
     if reorder:
         U = np.take_along_axis(U, np.argsort(-crit, axis=-1, kind="stable")[..., None], -2)
-    return _fix_signs(U), crit.sum(axis=-1)
+    return BlockFit(_fix_signs(U), crit.sum(axis=-1), iterations, converged)
+
+
+def _iterate(step, state, max_iter):
+    """Run ``step`` on a block of problems until each stops, for at most ``max_iter`` steps.
+
+    ``state`` holds arrays over the live problems, the iterate first; ``step(*state)``
+    returns the next state, a mask of the problems that stop there and a mask of those
+    that converged.  Returns each problem's last iterate, its stop step (``max_iter``
+    if none) and whether it converged.
+    """
+    live = np.arange(len(state[0]))
+    out = np.empty_like(state[0])
+    stops = np.full(len(live), max(max_iter, 0))
+    converged = np.zeros(len(live), dtype=bool)
+    for it in range(1, max_iter + 1):
+        if live.size == 0:
+            break
+        state, stop, conv = step(*state)
+        if stop.any():  # compaction copies every state array: only when one stops
+            out[live[stop]] = state[0][stop]
+            stops[live[stop]] = it
+            converged[live[stop]] = conv[stop]
+            keep = ~stop
+            state, live = tuple(a[keep] for a in state), live[keep]
+    out[live] = state[0]
+    return out, stops, converged
 
 
 def _lag_index(lags, tau=None) -> int:
@@ -113,8 +139,8 @@ def _amuse_block(R: np.ndarray, lags, tau=None) -> BlockFit:
     evals, evecs = np.linalg.eigh(R[:, _lag_index(lags, tau)])
     idx = np.argsort(-evals, axis=-1, kind="stable")
     # gathered as C-contiguous rows: _tmap_rows' einsums round differently on an F-ordered U
-    U, objective = _finish(np.take_along_axis(evecs.mT, idx[..., None], -2), R, reorder=False)
-    return BlockFit(U, objective, np.zeros(len(R), dtype=int), np.ones(len(R), dtype=bool))
+    return _finish(np.take_along_axis(evecs.mT, idx[..., None], -2), R,
+                   np.zeros(len(R), dtype=int), np.ones(len(R), dtype=bool), reorder=False)
 
 
 def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
@@ -194,6 +220,15 @@ def deflation_block(
     iterations = np.zeros(B, dtype=int)
     converged = np.ones(B, dtype=bool)
 
+    def step(u, P, Ra):
+        v = (P @ _tmap_rows(u[:, None], Ra)[:, 0, :, None])[..., 0]
+        n = np.sqrt(np.vecdot(v, v))
+        collapsed = n < 1e-13
+        v = np.where(collapsed[:, None], u, v / np.where(collapsed, 1.0, n)[:, None])
+        d = v - u
+        done = ~collapsed & (np.sqrt(np.vecdot(d, d)) < tol)
+        return (v, P, Ra), collapsed | done, done
+
     for j in range(p - 1):
         proj = np.eye(p) - rows[:, :j].mT @ rows[:, :j]
         draws = np.stack([rng.standard_normal((restarts, p)) for rng in rngs])
@@ -203,42 +238,21 @@ def deflation_block(
         starts = (proj[:, None] @ draws[..., None])[..., 0].reshape(B * restarts, p)
         norms = np.sqrt(np.vecdot(starts, starts))
         # a collapsed start direction is skipped, its draw still consumed
-        started = act = np.nonzero(~(norms < 1e-12))[0]
-        u = starts[act] / norms[act, None]
-        P, Ra = proj[act // restarts], R[act // restarts]
-        final = np.empty((B * restarts, p))
-        iters = np.zeros(B * restarts, dtype=int)
-        conv = np.zeros(B * restarts, dtype=bool)
-        for it in range(1, max_iter + 1):
-            if act.size == 0:
-                break
-            v = (P @ _tmap_rows(u[:, None], Ra)[:, 0, :, None])[..., 0]
-            n = np.sqrt(np.vecdot(v, v))
-            collapsed = n < 1e-13
-            v = np.where(collapsed[:, None], u, v / np.where(collapsed, 1.0, n)[:, None])
-            step = v - u
-            done = ~collapsed & (np.sqrt(np.vecdot(step, step)) < tol)
-            stop = collapsed | done
-            if stop.any():
-                final[act[stop]] = v[stop]
-                iters[act[stop]] = it
-                conv[act[stop]] = done[stop]
-                keep = ~stop
-                act, u, P, Ra = act[keep], v[keep], P[keep], Ra[keep]
-            else:
-                u = v
-        final[act] = u
-        iters[act] = max(max_iter, 0)
+        started = np.nonzero(~(norms < 1e-12))[0]
+        Ra = R[started // restarts]
+        final, iters, conv = _iterate(
+            step, (starts[started] / norms[started, None], proj[started // restarts], Ra), max_iter)
 
         crit = np.full((B, restarts), -np.inf)
-        crit.flat[started] = _criterion_rows(final[started, None], R[started // restarts])[:, 0]
+        crit.flat[started] = _criterion_rows(final[:, None], Ra)[:, 0]
         # the first restart with the strictly largest criterion wins; every
         # criterion is >= 0, or -inf where the restart did not start
-        k = np.arange(B) * restarts + np.argmax(crit, axis=1)
         ok = crit.max(axis=1) > -np.inf
-        rows[ok, j] = final[k[ok]]
-        iterations[ok] += iters[k[ok]]
-        converged[ok] &= conv[k[ok]]
+        # each winner started, so it has a place among the started restarts
+        k = np.searchsorted(started, (np.arange(B) * restarts + np.argmax(crit, axis=1))[ok])
+        rows[ok, j] = final[k]
+        iterations[ok] += iters[k]
+        converged[ok] &= conv[k]
         for b in np.nonzero(~ok)[0]:
             # every restart draw collapsed; fall back to a unit vector in the
             # projector's range, orthogonal to the rows found so far
@@ -247,8 +261,7 @@ def deflation_block(
 
     # the last row spans the null space of the others, as its SVD gives it
     rows[:, p - 1] = np.linalg.svd(rows[:, : p - 1])[2][:, -1]
-    rows, objective = _finish(rows, R, reorder=False)
-    return BlockFit(rows, objective, iterations, converged)
+    return _finish(rows, R, iterations, converged, reorder=False)
 
 
 def sobi_symmetric_fixedpoint(
@@ -282,14 +295,7 @@ def fixedpoint_block(
     max |U_new - U_old| is below ``tol`` (converged), which ``iterations``
     counts.  A problem's result does not depend on the block it is in.
     """
-    U = _amuse_block(R, lags).u
-    live, Ra = np.arange(len(R)), R
-    out = np.empty_like(U)
-    iterations = np.full(len(R), max(max_iter, 0))
-    converged = np.zeros(len(R), dtype=bool)
-    for it in range(1, max_iter + 1):
-        if live.size == 0:
-            break
+    def step(U, Ra):
         tmat = _tmap_rows(U, Ra)
         m = tmat @ tmat.mT
         evals, evecs = np.linalg.eigh((m + m.mT) / 2)
@@ -298,15 +304,10 @@ def fixedpoint_block(
         u_new = (evecs * evals[:, None] ** -0.5) @ evecs.mT @ tmat
         u_new *= np.where(np.einsum("...ij,...ij->...i", u_new, U) < 0, -1.0, 1.0)[..., None]
         done = np.max(np.abs(u_new - U), axis=(-2, -1)) < tol
-        U = u_new
-        if done.any():
-            out[live[done]] = U[done]
-            iterations[live[done]] = it
-            converged[live[done]] = True
-            U, Ra, live = U[~done], Ra[~done], live[~done]
-    out[live] = U
-    U, objective = _finish(out, R)
-    return BlockFit(U, objective, iterations, converged)
+        return (u_new, Ra), done, done
+
+    U, iterations, converged = _iterate(step, (_amuse_block(R, lags).u, R), max_iter)
+    return _finish(U, R, iterations, converged)
 
 
 def sobi_symmetric_jacobi(
@@ -334,16 +335,9 @@ def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Bl
     the block it is solved in.
     """
     B, _, p, _ = R.shape
-    A = R.copy()
-    U = np.repeat(np.eye(p)[None], B, axis=0)
-    live = np.arange(B)
-    out = np.empty_like(U)
-    sweeps = np.zeros(B, dtype=int)
-    converged = np.zeros(B, dtype=bool)
-    passes = 0
-    while passes < max_sweeps and live.size:
-        passes += 1
-        max_sin = np.zeros(live.size)
+
+    def sweep(U, A):
+        max_sin = np.zeros(len(U))
         for i in range(p - 1):
             for j in range(i + 1, p):
                 am = A[:, :, i, i] - A[:, :, j, j]
@@ -363,14 +357,11 @@ def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Bl
                 ui, uj = U[rot, i], U[rot, j]
                 U[rot, i], U[rot, j] = c * ui + s * uj, -s * ui + c * uj
         done = max_sin < tol
-        sweeps[live[~done]] += 1
-        if done.any():
-            out[live[done]] = U[done]
-            converged[live[done]] = True
-            A, U, live = A[~done], U[~done], live[~done]
-    out[live] = U
-    out, objective = _finish(out, R)
-    return BlockFit(out, objective, sweeps, converged)
+        return (U, A), done, done
+
+    U, stops, converged = _iterate(
+        sweep, (np.repeat(np.eye(p)[None], B, axis=0), R.copy()), max_sweeps)
+    return _finish(U, R, stops - converged, converged)
 
 
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:

@@ -575,6 +575,19 @@ def test_empirical_asv_refuses_what_autocov_set_refuses(case):
                 autocov_set(data, LAGS, centered=True)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-320])
+def test_empirical_asv_refuses_a_series_whose_variance_underflows(scale):
+    # the recovered sources' squares underflow, so a lag-0 autocovariance is
+    # zero: one error that names it, and no numpy warning before it
+    x = simulate_sources(benchmark_model("c"), T=600, seed=2)
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^series values too small: "
+                                             "a source's lag-0 autocovariance is zero$"):
+            empirical_asv(x * scale, res, LAGS)
+
+
 def test_d_tensor_size_is_bounded(monkeypatch):
     # (K + 1)^2 p^2 doubles: at p = 3, lags 1-10 take 8712 bytes
     exps = sorted_expansions("d")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sobikit.autocovariance import (
     AutocovSet,
-    _lag_product,
+    _products,
     autocorrelations,
     autocov_set,
     whitener,
@@ -148,14 +148,15 @@ def test_autocorrelations_eigenvalues_under_population_mixing():
 
 
 def test_batched_kernels_round_like_the_one_series_arithmetic():
-    # the kernels over a (B, p, T) stack must give each series the bits of
+    # the lag products of each series of a (B, p, T) stack, and the whitening
+    # kernels over their (B, ...) stacks, must give each series the bits of
     # the one-series arithmetic written out with 2-D products
     rng = np.random.default_rng(12)
     x = rng.standard_normal((5, 3, 3)) @ rng.standard_normal((5, 3, 400)).cumsum(axis=-1)
     x -= x.mean(axis=-1, keepdims=True)
     lags = (1, 4, 9)
-    s0 = _lag_product(x, 0)
-    S = np.stack([_lag_product(x, k) for k in lags], axis=1)
+    s = np.stack([_products(xb, (0,) + lags, centered=False) for xb in x])
+    s0, S = s[:, 0], s[:, 1:]
     W = whitener(s0)
     R = autocorrelations(AutocovSet(s0, S, lags), W)
     np.testing.assert_array_equal(autocorrelations(AutocovSet(s0, S, lags)), R)
@@ -173,6 +174,15 @@ def test_batched_kernels_round_like_the_one_series_arithmetic():
         for i in range(len(lags)):
             r = W[b] @ S[b, i] @ W[b]
             np.testing.assert_array_equal(R[b, i], (r + r.T) / 2)
+
+
+def test_centering_leaves_the_callers_series_alone():
+    # the product code centres its series in place, so autocov_set hands it a copy
+    x = np.random.default_rng(3).standard_normal((2, 50)) + 5.0
+    before = x.copy()
+    acs = autocov_set(x, (1, 2), centered=True)
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_array_equal(acs.s0, autocov_set(x - x.mean(axis=1, keepdims=True), ()).s0)
 
 
 def test_batched_whitening_rejects_a_block_with_one_singular_matrix():

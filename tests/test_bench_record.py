@@ -36,3 +36,17 @@ def test_parse_run_needs_the_result_line():
     text = perfbench_output(True).splitlines()[:-1]
     with pytest.raises(ValueError, match="no perfbench result"):
         bench_record.parse_run("\n".join(text))
+
+
+def test_source_lines_counts_each_trees_library_modules(tmp_path):
+    # wc -l counts newlines: a last line without one is not counted, and only
+    # the .py files directly in src/sobikit are read
+    for side, files in {"parent": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3"},
+                        "change": {"a.py": "x = 1\n", "README": "one\ntwo\n",
+                                   "sub/c.py": "w = 4\n"}}.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "sobikit" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert bench_record.source_lines(tmp_path / "parent") == 2
+    assert bench_record.source_lines(tmp_path / "change") == 1

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sobikit import asymptotics, cli
 from sobikit.asymptotics import asv, global_criterion
-from sobikit.autocovariance import autocorrelations, autocov_set, whitener
+from sobikit.autocovariance import AutocovSet, autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
 from sobikit.joint_diag import (
     BlockFit,
@@ -356,7 +356,9 @@ SOLVER_OPTIONS_OUT_OF_RANGE = [("--max-iter", "0"), ("--max-sweeps", "0"),
 
 
 @pytest.mark.parametrize("option", [("--reps", "0"), ("--jobs", "0"),
-                                    ("--jobs", "-3"), *SOLVER_OPTIONS_OUT_OF_RANGE])
+                                    ("--jobs", "-3"), *SOLVER_OPTIONS_OUT_OF_RANGE,
+                                    ("--T-values", "300,300"),
+                                    ("--methods", "deflation,deflation")])
 def test_benchmark_rejects_nonpositive_counts(option, capsys):
     assert main(["benchmark", "--preset", "d", "--lags", "1-10",
                  "--reps", "1", "--T-values", "300",
@@ -546,18 +548,21 @@ def test_empty_data_file_is_one_error_line(tmp_path, content, command, capsys):
     assert captured.err.splitlines() == [f"error: {data} holds no data"]
 
 
-@pytest.mark.parametrize("chunk_reps", [1, 7])
-def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
-    # a block of 20 reps split into chunks of 1 or 7 (the last one partial),
+@pytest.mark.parametrize("cuts", [(), (4, 11)])
+def test_block_lag_matrices_match_the_public_chain(cuts):
+    # reps 3..22 reduced as one range, or as three ranges of 4, 7 and 9 reps,
     # each rep drawn once for three T values; every stacked matrix must equal
-    # the per-rep public chain at that T bit for bit
+    # the per-rep public chain at that T bit for bit, whatever the ranges
     specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ma", ma=(0.5, -0.3)),
              SourceSpec("psi", psi=(1.0, 0.0, 0.4))]
     seed, t_values, lags, reps = 8, (300, 120, 500), (1, 2, 5, 9), range(3, 23)
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_reps * 8 * len(specs) * sum(t_values))
-    mats = cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps, seed)
-    assert sorted(mats) == sorted(t_values)
-    for T, block in mats.items():
+    bounds = (0, *cuts, len(reps))
+    parts = [cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps[lo:hi], seed)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert all(sorted(part) == sorted(t_values) for part in parts)
+    for T in t_values:
+        block = AutocovSet(np.concatenate([part[T].s0 for part in parts]),
+                           np.concatenate([part[T].sk for part in parts]), parts[0][T].lags)
         W = whitener(block.s0)
         R = autocorrelations(block, W)
         assert block.lags == lags and block.sk.shape == (len(reps), len(lags), 3, 3)
@@ -570,16 +575,21 @@ def test_block_lag_matrices_match_the_public_chain(monkeypatch, chunk_reps):
             np.testing.assert_array_equal(R[b], autocorrelations(acs, w))
 
 
-def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys):
+@pytest.mark.parametrize("block_reps", [1, 2])
+def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys, block_reps):
     # each T reads a prefix of the one draw per rep, so a row is the same
-    # whether its T runs alone, first or last (one rep per chunk)
+    # whether its T runs alone, first or last, and whether the 5 reps are
+    # solved as one range or as ranges of at most 1 or 2
     argv = ["benchmark", "--preset", "d", "--lags", "1-10", "--reps", "5", "--seed", "4",
             "--methods", "deflation,symmetric-jacobi"]
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
     rows = {}
+    assert main(argv + ["--T-values", "300"]) == 0
+    rows["one range"] = capsys.readouterr().out.strip().splitlines()
+    monkeypatch.setattr(cli, "_BLOCK_REPS", block_reps)
     for t_values in ("300,1000", "1000,300", "300", "1000"):
         assert main(argv + ["--T-values", t_values]) == 0
         rows[t_values] = capsys.readouterr().out.strip().splitlines()
+    assert rows["300"] == rows["one range"]
     assert rows["300,1000"] == rows["300"] + rows["1000"]
     assert rows["1000,300"] == rows["1000"] + rows["300"]
 

@@ -480,13 +480,14 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
     for s, r in enumerate(stacks):
         rows, iters, conv = sequential_deflation_rows(r, np.random.default_rng((s, 1)))
         u = np.vstack([rows, null_space(rows)[:, 0]])
-        np.testing.assert_array_equal(defl.u[s], _finish(u[None], r[None], reorder=False)[0][0])
+        np.testing.assert_array_equal(
+            defl.u[s], _finish(u[None], r[None], None, None, reorder=False)[0][0])
         assert (defl.iterations[s], defl.converged[s]) == (iters, conv)
         u, sweeps, conv = sequential_jacobi(r)
-        np.testing.assert_array_equal(jac.u[s], _finish(u[None], r[None])[0][0])
+        np.testing.assert_array_equal(jac.u[s], _finish(u[None], r[None], None, None)[0][0])
         assert (jac.iterations[s], jac.converged[s]) == (sweeps, conv)
         u, iters, conv = sequential_fixedpoint(r)
-        np.testing.assert_array_equal(fp.u[s], _finish(u[None], r[None])[0][0])
+        np.testing.assert_array_equal(fp.u[s], _finish(u[None], r[None], None, None)[0][0])
         assert (fp.iterations[s], fp.converged[s]) == (iters, conv)
 
 
@@ -494,11 +495,11 @@ def test_exact_criterion_ties_keep_the_solver_order():
     # rows e2 and e1 have the same criterion, 1; e3 has 0.5 ** 2
     R = np.diag([1.0, 1.0, 0.5])[None, None]
     U = np.eye(3)[[1, 0, 2]][None]
-    u, objective = _finish(U, R)
+    u, objective, _, _ = _finish(U, R, None, None)
     np.testing.assert_array_equal(u, U)
     assert objective[0] == 2.25
     # a strictly larger criterion still moves a row up
-    u, _ = _finish(np.eye(3)[[2, 0, 1]][None], R)
+    u = _finish(np.eye(3)[[2, 0, 1]][None], R, None, None).u
     np.testing.assert_array_equal(u[0], np.eye(3)[[0, 1, 2]])
 
 
