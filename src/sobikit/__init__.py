@@ -16,8 +16,6 @@ from .asymptotics import (
     ASVTable,
     AsymptoticModel,
     asv,
-    asv_deflation,
-    asv_symmetric,
     build_model,
     empirical_asv,
     global_criterion,
@@ -57,8 +55,6 @@ __all__ = [
     "amari",
     "amuse",
     "asv",
-    "asv_deflation",
-    "asv_symmetric",
     "autocorrelations",
     "autocov_set",
     "benchmark_model",

@@ -27,8 +27,6 @@ __all__ = [
     "ASVTable",
     "build_model",
     "asv",
-    "asv_deflation",
-    "asv_symmetric",
     "global_criterion",
     "transform_general_mixing",
     "empirical_asv",
@@ -39,7 +37,7 @@ _IDENT_TOL = 1e-12
 # temporaries are as large again.
 _D_MAX_BYTES = 256 << 20
 
-# method of a fit (or a formula name) -> the ASV formulas that describe it.
+# method of a fit (each name in joint_diag._KERNELS) or a formula name -> its ASV formulas.
 # AMUSE is SOBI on its one lag, where both tables agree; the symmetric one
 # needs AMUSE's lambda_i != lambda_j, the deflation one lambda_i^2 != lambda_j^2.
 _FORMULAS = {
@@ -261,27 +259,6 @@ def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
     return ASVTable(per_element=out, method=method)
 
 
-def asv_deflation(model: AsymptoticModel) -> ASVTable:
-    """Per-element limiting variances of the deflation-based estimator.
-
-    Requires the identifiability ordering: the per-component criterion
-    values sum_k lambda_kj^2, sorted by ``build_model``, must be strictly
-    decreasing over the analysis lags.  Diagonal entries are (D_00)_jj / 4;
-    off-diagonal entries follow the two rational expressions (extraction
-    row before or after the interfering component) in lambda, mu and D_lm.
-    """
-    return _asv_table(model.lam, model.d, "deflation")
-
-
-def asv_symmetric(model: AsymptoticModel) -> ASVTable:
-    """Per-element limiting variances of the symmetric estimator.
-
-    Requires pairwise identifiability: every pair of components must have
-    distinct autocovariance profiles over the analysis lags.
-    """
-    return _asv_table(model.lam, model.d, "symmetric")
-
-
 def _formulas(method: str, lags: tuple[int, ...]) -> str:
     """The formulas (``_FORMULAS``) that give the ASV of ``method`` on ``lags``."""
     if method not in _FORMULAS:
@@ -292,16 +269,25 @@ def _formulas(method: str, lags: tuple[int, ...]) -> str:
 
 
 def asv(model: AsymptoticModel, method: str) -> ASVTable:
-    """Exact ASV table of ``method``, a formula or a solver name.
+    """Exact per-element limiting variances of ``method``, a formula or a solver name.
 
-    ``"deflation"`` gives ``asv_deflation``; ``"symmetric"`` and both
-    symmetric solvers give ``asv_symmetric``, and so does ``"amuse"`` on a
-    model with exactly one lag, tau: AMUSE is SOBI with K = 1, and its limit
-    law (Miettinen, Nordhausen, Oja & Taskinen, Stat. Probab. Lett. 82,
-    2012) is the one-lag table.  Anything else raises ``ValueError``.
+    ``"deflation"`` gives the deflation-based estimator's table.  It requires
+    the identifiability ordering: the per-component criterion values sum_k
+    lambda_kj^2, sorted by ``build_model``, must be strictly decreasing over
+    the analysis lags (Miettinen, Nordhausen, Oja & Taskinen, J. Multivariate
+    Anal. 123, 2014).  Its off-diagonal entries follow the two rational
+    expressions (extraction row before or after the interfering component)
+    in lambda, mu and D_lm.  ``"symmetric"`` and both symmetric solvers give
+    the symmetric estimator's table, which requires pairwise
+    identifiability: every pair of components must have distinct
+    autocovariance profiles over the analysis lags.  ``"amuse"`` gives it too
+    on a model with exactly one lag, tau: AMUSE is SOBI with K = 1, and its
+    limit law (Miettinen, Nordhausen, Oja & Taskinen, Stat. Probab. Lett.
+    82, 2012) is the one-lag table.  Diagonal entries are (D_00)_jj / 4.
+    Anything else, or a model that fails the requirement, raises
+    ``ValueError``.
     """
-    formulas = _formulas(method, model.lags)
-    return (asv_deflation if formulas == "deflation" else asv_symmetric)(model)
+    return _asv_table(model.lam, model.d, _formulas(method, model.lags))
 
 
 def global_criterion(table: ASVTable) -> float:

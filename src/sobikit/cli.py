@@ -15,30 +15,22 @@ from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_
 from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
-# Each --method value: (fit of one AutocovSet by its public solver, solve of a
-# block of reps' whitened lag stacks R (B, K, p, p), whose lag axis follows lags,
-# by its block kernel), with the CLI options both take.
-_METHODS = {
-    "amuse": (
-        lambda acs, a: joint_diag.amuse(acs, a.tau),
-        lambda R, lags, a, reps: joint_diag._amuse_block(R, lags)),
-    "deflation": (
-        lambda acs, a: joint_diag.sobi_deflation(
-            acs, tol=a.tol, max_iter=a.max_iter, restarts=a.restarts, seed=a.seed),
-        lambda R, lags, a, reps: joint_diag.deflation_block(
-            R, [np.random.default_rng((a.seed, rep, 1)) for rep in reps],
-            tol=a.tol, max_iter=a.max_iter, restarts=a.restarts)),
-    "symmetric-fixedpoint": (
-        lambda acs, a: joint_diag.sobi_symmetric_fixedpoint(
-            acs, tol=a.tol, max_iter=a.max_iter),
-        lambda R, lags, a, reps: joint_diag.fixedpoint_block(
-            R, lags, tol=a.tol, max_iter=a.max_iter)),
-    "symmetric-jacobi": (
-        lambda acs, a: joint_diag.sobi_symmetric_jacobi(
-            acs, tol=a.jacobi_tol, max_sweeps=a.max_sweeps),
-        lambda R, lags, a, reps: joint_diag.jacobi_block(
-            R, tol=a.jacobi_tol, max_sweeps=a.max_sweeps)),
-}
+def _kernel_options(args, method: str) -> dict:
+    """The options of ``method``'s kernel that the parsed CLI options set."""
+    if method == "amuse":
+        return {"tau": getattr(args, "tau", None)}  # benchmark's amuse: the smallest lag
+    if method == "symmetric-jacobi":
+        return {"tol": args.jacobi_tol, "max_sweeps": args.max_sweeps}
+    options = {"tol": args.tol, "max_iter": args.max_iter}
+    if method == "deflation":
+        options["restarts"] = args.restarts
+    return options
+
+
+def _fit(acs, method: str, args) -> joint_diag.UnmixingResult:
+    """The fit of one AutocovSet by ``method``; deflation draws from default_rng(args.seed)."""
+    return joint_diag._unmix(acs, method, [np.random.default_rng(args.seed)],
+                             **_kernel_options(args, method))
 
 
 def _int(text: str, where: str) -> int:
@@ -144,7 +136,7 @@ def cmd_separate(args) -> int:
         if omega.shape != (p, p):
             raise ValueError(f"{args.omega}: the mixing matrix must be {p} x {p}, "
                              f"not {omega.shape[0]} x {omega.shape[1]}")
-    result = _METHODS[args.method][0](autocov_set(x, lags, centered=not args.no_center), args)
+    result = _fit(autocov_set(x, lags, centered=not args.no_center), args.method, args)
     z = result.gamma @ (x - x.mean(axis=1, keepdims=True)
                         if not args.no_center else x)
     report = {
@@ -174,20 +166,20 @@ def cmd_asv(args) -> int:
     lags = _parse_lags(args.lags)
     model = _exact_model(specs, lags)
     methods = ("deflation", "symmetric") if args.method == "both" else (args.method,)
-    lines = []
+    lines = ["method,row,col,value"]
     for method in methods:
         try:
             table = asymptotics.asv(model, method)
         except ValueError as exc:
             raise ValueError(f"{method}: {exc}") from None
-        lines += [f"{method},{j+1},{i+1},{v:.17g}"
-                  for (j, i), v in np.ndenumerate(table.per_element)]
         crit = asymptotics.global_criterion(table)
-        lines.append(f"{method},global,,{crit:.17g}")
         print(f"{method},global,{crit:.17g}")
+        if args.output:
+            lines += [f"{method},{j+1},{i+1},{v:.17g}"
+                      for (j, i), v in np.ndenumerate(table.per_element)]
+            lines.append(f"{method},global,,{crit:.17g}")
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write("method,row,col,value\n")
             fh.write("\n".join(lines) + "\n")
     return 0
 
@@ -244,9 +236,12 @@ def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, 
     for T, acs in _block_lag_matrices(plan, lags, t_values, reps, args.seed).items():
         W = autocovariance.whitener(acs.s0)
         R = autocovariance.autocorrelations(acs, W)
+        # rep r's deflation restarts draw from default_rng((seed, r, 1)) at every T
+        rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
         out[T] = {}
         for method in methods:
-            mdis = metrics.mdi(_METHODS[method][1](R, acs.lags, args, reps).u @ W)
+            fit = joint_diag._KERNELS[method](R, acs.lags, rngs, **_kernel_options(args, method))
+            mdis = metrics.mdi(fit.u @ W)
             # squared as Python floats: C pow, which float ** 2 calls, and
             # numpy's square round differently in about 0.1% of values
             out[T][method] = [T * (p - 1) * m ** 2 for m in mdis.tolist()]
@@ -266,8 +261,9 @@ def cmd_benchmark(args) -> int:
         raise ValueError("T must be at least 2")
     methods = [m.strip() for m in args.methods.split(",")]
     for method in methods:
-        if method not in _METHODS:
-            raise ValueError(f"--methods: {method!r} is not one of {', '.join(_METHODS)}")
+        if method not in joint_diag._KERNELS:
+            raise ValueError(
+                f"--methods: {method!r} is not one of {', '.join(joint_diag._KERNELS)}")
     for option, values in (("--T-values", t_values), ("--methods", methods)):
         if len(set(values)) < len(values):
             raise ValueError(f"{option}: an entry is repeated")
@@ -321,8 +317,8 @@ def cmd_lagselect(args) -> int:
     where = {k: a for a, k in enumerate(acs.lags)}
     scored = []
     for lags in lag_sets:
-        result = _METHODS[args.method][0](
-            autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags), args)
+        result = _fit(autocovariance.AutocovSet(acs.s0, acs.sk[[where[k] for k in lags]], lags),
+                      args.method, args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=args.kmax)
         score = float(table.row_sums()[rows_sel].sum())
         scored.append((score, lags))
@@ -359,7 +355,7 @@ def _check_solver_options(args):
 
 
 def _add_fit_options(sp):
-    sp.add_argument("--method", default="symmetric-jacobi", choices=_METHODS)
+    sp.add_argument("--method", default="symmetric-jacobi", choices=joint_diag._KERNELS)
     sp.add_argument("--tau", type=int, default=None,
                     help="lag diagonalized by amuse (default: smallest)")
     _add_solver_options(sp)

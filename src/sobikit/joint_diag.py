@@ -132,10 +132,10 @@ def _lag_index(lags, tau=None) -> int:
     return lags.index(tau)
 
 
-def _amuse_block(R: np.ndarray, lags, tau=None) -> BlockFit:
+def _amuse_block(R: np.ndarray, lags, rngs, tau=None) -> BlockFit:
     """AMUSE on B whitened lag stacks R (B, K, p, p) at ``lags``: each problem's rows
     are the signed eigenvectors of its R at lag ``tau`` (default: the smallest), by
-    decreasing eigenvalue."""
+    decreasing eigenvalue.  ``rngs`` is not read."""
     evals, evecs = np.linalg.eigh(R[:, _lag_index(lags, tau)])
     idx = np.argsort(-evals, axis=-1, kind="stable")
     # gathered as C-contiguous rows: _tmap_rows' einsums round differently on an F-ordered U
@@ -143,17 +143,29 @@ def _amuse_block(R: np.ndarray, lags, tau=None) -> BlockFit:
                    np.zeros(len(R), dtype=int), np.ones(len(R), dtype=bool), reorder=False)
 
 
-def _unmix(acs: AutocovSet, method: str, solve) -> UnmixingResult:
-    """Whiten ``acs``, ``solve`` its lag stack as a block of one and assemble the result."""
+def _unmix(acs: AutocovSet, method: str, rngs=None, **options) -> UnmixingResult:
+    """Whiten ``acs``, solve its lag stack as a block of one by ``method``'s kernel
+    (``_KERNELS``) with ``rngs`` and ``options``, and assemble the result; an AMUSE
+    fit whose R_tau has a near-degenerate spectrum warns "eigenvalue tie" and lists
+    it in ``warnings``."""
     if not acs.lags:
         raise ValueError("nothing to diagonalize: the lag set is empty")
     W = whitener(acs.s0)
-    fit = solve(autocorrelations(acs, W)[None])
+    fit = _KERNELS[method](autocorrelations(acs, W)[None], acs.lags, rngs, **options)
     U = fit.u[0]
+    gamma, ties = U @ W, ()
+    if method == "amuse":
+        # the eigenvalues of R_tau, row by row: gamma S_tau gamma' = U R_tau U'
+        sk = acs.sk[_lag_index(acs.lags, options.get("tau"))]
+        evals = np.einsum("ja,ab,jb->j", gamma, sk, gamma)
+        spread = float(evals[0] - evals[-1])
+        if np.any(-np.diff(evals) < 1e-10 * max(spread, np.finfo(float).tiny)):
+            _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=3)
+            ties = ("eigenvalue tie",)
     result = UnmixingResult(
-        gamma=U @ W, u=U, whitener=W, method=method,
+        gamma=gamma, u=U, whitener=W, method=method,
         iterations=int(fit.iterations[0]), converged=bool(fit.converged[0]),
-        objective=float(fit.objective[0]), residual=0.0,
+        objective=float(fit.objective[0]), residual=0.0, warnings=ties,
     )
     return dataclasses.replace(result, residual=estimating_residual(result, acs))
 
@@ -165,15 +177,7 @@ def amuse(acs: AutocovSet, tau: int | None = None) -> UnmixingResult:
     eigenvalues of R_tau in decreasing order; a near-degenerate spectrum
     gives the warning "eigenvalue tie" but a result is still returned.
     """
-    result = _unmix(acs, "amuse", lambda R: _amuse_block(R, acs.lags, tau))
-    a = _lag_index(acs.lags, tau)
-    # the eigenvalues of R_tau, row by row: gamma S_tau gamma' = U R_tau U'
-    evals = np.einsum("ja,ab,jb->j", result.gamma, acs.sk[a], result.gamma)
-    spread = float(evals[0] - evals[-1])
-    if np.any(-np.diff(evals) < 1e-10 * max(spread, np.finfo(float).tiny)):
-        _warnings.warn("eigenvalue tie", RuntimeWarning, stacklevel=2)
-        result = dataclasses.replace(result, warnings=("eigenvalue tie",))
-    return result
+    return _unmix(acs, "amuse", tau=tau)
 
 
 def sobi_deflation(
@@ -193,12 +197,13 @@ def sobi_deflation(
     in extraction order, which is criterion-descending whenever each
     subproblem is maximized.
     """
-    return _unmix(acs, "deflation", lambda R: deflation_block(
-        R, [np.random.default_rng(seed)], tol=tol, max_iter=max_iter, restarts=restarts))
+    return _unmix(acs, "deflation", [np.random.default_rng(seed)],
+                  tol=tol, max_iter=max_iter, restarts=restarts)
 
 
 def deflation_block(
     R: np.ndarray,
+    lags,
     rngs,
     tol: float = 1e-10,
     max_iter: int = 1000,
@@ -206,12 +211,12 @@ def deflation_block(
 ) -> BlockFit:
     """Deflation-based SOBI on B whitened lag stacks R of shape (B, K, p, p).
 
-    Problem b draws its start directions from ``rngs[b]``, one
-    (restarts, p) draw per row, which is the stream that drawing one
-    direction at a time gives.  For each row every (problem, restart)
-    pair iterates in one active set; a pair leaves it when its step falls
-    below ``tol`` (converged) or its image collapses (it keeps its previous
-    direction).  Each problem's result does not depend on the block it is
+    ``lags`` is not read.  Problem b draws its start directions from
+    ``rngs[b]``, one (restarts, p) draw per row, which is the stream that
+    drawing one direction at a time gives.  For each row every (problem,
+    restart) pair iterates in one active set; a pair leaves it when its step
+    falls below ``tol`` (converged) or its image collapses (it keeps its
+    previous direction).  Each problem's result does not depend on the block it is
     solved in: the batched forms round like the one-problem ones.
     """
     B, _, p, _ = R.shape
@@ -277,20 +282,20 @@ def sobi_symmetric_fixedpoint(
     polar factor is sign-ambiguous per row) and iteration stops when
     max |U_new - U_old| < tol.
     """
-    return _unmix(acs, "symmetric-fixedpoint", lambda R: fixedpoint_block(
-        R, acs.lags, tol=tol, max_iter=max_iter))
+    return _unmix(acs, "symmetric-fixedpoint", tol=tol, max_iter=max_iter)
 
 
 def fixedpoint_block(
     R: np.ndarray,
     lags: tuple[int, ...],
+    rngs,
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> BlockFit:
     """Symmetric fixed-point SOBI on B whitened lag stacks R of shape (B, K, p, p).
 
-    R's lag axis follows ``lags``.  Each problem starts from its AMUSE fit on
-    the smallest lag (``_amuse_block``).
+    R's lag axis follows ``lags``, and ``rngs`` is not read.  Each problem
+    starts from its AMUSE fit on the smallest lag (``_amuse_block``).
     Live problems iterate together; one leaves after the first iteration whose
     max |U_new - U_old| is below ``tol`` (converged), which ``iterations``
     counts.  A problem's result does not depend on the block it is in.
@@ -306,7 +311,7 @@ def fixedpoint_block(
         done = np.max(np.abs(u_new - U), axis=(-2, -1)) < tol
         return (u_new, Ra), done, done
 
-    U, iterations, converged = _iterate(step, (_amuse_block(R, lags).u, R), max_iter)
+    U, iterations, converged = _iterate(step, (_amuse_block(R, lags, rngs).u, R), max_iter)
     return _finish(U, R, iterations, converged)
 
 
@@ -321,15 +326,14 @@ def sobi_symmetric_jacobi(
     summed squared diagonals of the rotated matrices; sweeps stop when the
     largest |sin(angle)| falls below ``tol``.
     """
-    return _unmix(acs, "symmetric-jacobi",
-                  lambda R: jacobi_block(R, tol=tol, max_sweeps=max_sweeps))
+    return _unmix(acs, "symmetric-jacobi", tol=tol, max_sweeps=max_sweeps)
 
 
-def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> BlockFit:
+def jacobi_block(R: np.ndarray, lags, rngs, tol: float = 1e-12, max_sweeps: int = 100) -> BlockFit:
     """Cyclic Jacobi sweeps on B whitened lag stacks R of shape (B, K, p, p).
 
-    All live problems rotate together, pair by pair; a pair whose angle has
-    sin = 0 is not rotated.  A problem leaves after the first sweep whose
+    ``lags`` and ``rngs`` are not read.  All live problems rotate together,
+    pair by pair; a pair whose angle has sin = 0 is not rotated.  A problem leaves after the first sweep whose
     largest |sin(angle)| is below ``tol`` (converged); ``iterations``
     counts the sweeps before it.  Each problem's result does not depend on
     the block it is solved in.
@@ -362,6 +366,17 @@ def jacobi_block(R: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100) -> Bl
     U, stops, converged = _iterate(
         sweep, (np.repeat(np.eye(p)[None], B, axis=0), R.copy()), max_sweeps)
     return _finish(U, R, stops - converged, converged)
+
+
+# Each method's block kernel.  Every kernel solves B whitened lag stacks R
+# (B, K, p, p), whose lag axis follows ``lags``, as kernel(R, lags, rngs,
+# **options); only deflation reads ``rngs``, one generator per problem.
+_KERNELS = {
+    "amuse": _amuse_block,
+    "deflation": deflation_block,
+    "symmetric-fixedpoint": fixedpoint_block,
+    "symmetric-jacobi": jacobi_block,
+}
 
 
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["mdi", "amari"]
 
@@ -57,6 +56,7 @@ def mdi(g: np.ndarray) -> float | np.ndarray:
             perms = np.array(list(itertools.permutations(range(p))))
             matched = weights[:, np.arange(p), perms].sum(axis=-1).max(axis=-1)
         else:
+            from scipy.optimize import linear_sum_assignment
             matched = np.array([w[linear_sum_assignment(w, maximize=True)].sum()
                                 for w in weights])
         out = np.sqrt(np.maximum(p - matched, 0.0) / (p - 1))

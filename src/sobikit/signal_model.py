@@ -13,7 +13,6 @@ import dataclasses
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "SourceSpec",
@@ -169,6 +168,7 @@ def _expand_raw(spec: SourceSpec) -> tuple[np.ndarray, float]:
 
 def _expand_filter(spec: SourceSpec) -> np.ndarray:
     """Impulse response of an AR or ARMA spec, truncated as ``_expand_raw`` says."""
+    from scipy.signal import lfilter  # imported on use: scipy.signal is slow to import
     b = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
     a = np.r_[1.0, -np.asarray(spec.ar, dtype=float)]
     n = max(256, b.size)
@@ -249,6 +249,7 @@ def _plan_sources(specs) -> _SourcePlan:
 def _filter_sources(plan: _SourcePlan, eps: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (p x T) with the sources that ``plan`` makes of the
     innovations ``eps`` (p x (plan.pre + T))."""
+    from scipy.signal import lfilter
     for i, c in enumerate(plan.components):
         e = eps[i, c.start:]
         if c.a is None:

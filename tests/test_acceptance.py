@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sobikit import cli
-from sobikit.asymptotics import asv_symmetric, build_model, empirical_asv
+from sobikit.asymptotics import asv, build_model, empirical_asv
 from sobikit.autocovariance import AutocovSet, autocov_set
 from sobikit.joint_diag import (
     amuse,
@@ -135,7 +135,7 @@ def test_criterion_06_white_noise_covariance_oracle():
 def test_criterion_07_unmixing_variance_oracle():
     specs = [SourceSpec("ar", ar=(0.6,)), SourceSpec("ar", ar=(0.4,))]
     exps = [expand_to_ma(s) for s in specs]
-    exact = asv_symmetric(build_model(exps, LAGS)).per_element[1, 0]
+    exact = asv(build_model(exps, LAGS), "symmetric").per_element[1, 0]
     T, reps = 20000, 2000
     entries = np.empty(reps)
     for r in range(reps):
@@ -184,7 +184,7 @@ def test_criterion_10_empirical_asv_plugin():
     res = sobi_symmetric_jacobi(acs)
     emp = empirical_asv(z, res, LAGS).per_element
     exps = [expand_to_ma(s) for s in benchmark_model("d")]
-    exact = asv_symmetric(build_model(exps, LAGS)).per_element
+    exact = asv(build_model(exps, LAGS), "symmetric").per_element
     off = ~np.eye(3, dtype=bool)
     rel = np.abs(emp[off] - exact[off]) / exact[off]
     assert np.max(rel) < 0.10, rel

@@ -9,8 +9,6 @@ import pytest
 from sobikit import asymptotics, signal_model
 from sobikit.asymptotics import (
     asv,
-    asv_deflation,
-    asv_symmetric,
     build_model,
     empirical_asv,
     global_criterion,
@@ -103,8 +101,6 @@ def test_d_tensor_runs_once_per_model(monkeypatch):
                         lambda *args: calls.append(args) or kernel(*args))
     model = build_model(sorted_expansions("c"), LAGS)
     assert len(calls) == 1
-    asv_deflation(model)
-    asv_symmetric(model)
     for method in ("deflation", "symmetric", "symmetric-fixedpoint", "symmetric-jacobi"):
         asv(model, method)
     assert len(calls) == 1
@@ -219,12 +215,12 @@ def test_near_tied_components_keep_one_order_over_lag_orders():
     assert ref.order == (0, 1, 2)
     model = build_model(exps, (3, 1, 2))
     assert model.order == ref.order
-    np.testing.assert_allclose(asv_symmetric(model).per_element,
-                               asv_symmetric(ref).per_element, rtol=1e-12)
+    np.testing.assert_allclose(asv(model, "symmetric").per_element,
+                               asv(ref, "symmetric").per_element, rtol=1e-12)
     relisted = build_model([exps[i] for i in ref.order], (3, 1, 2))
     assert relisted.order == (0, 1, 2)
-    np.testing.assert_array_equal(asv_symmetric(relisted).per_element,
-                                  asv_symmetric(model).per_element)
+    np.testing.assert_array_equal(asv(relisted, "symmetric").per_element,
+                                  asv(model, "symmetric").per_element)
 
 
 def test_exact_ties_keep_listed_order():
@@ -287,7 +283,7 @@ def test_lag_checks_are_autocov_sets(lags):
         assert str(got.value) == str(want.value)
 
 
-def loop_vlm(d):
+def vec_s0_covariance(d):
     """diag(vec d) (K_pp - D_pp + I) from explicit selector matrices."""
     p = d.shape[0]
     n = p * p
@@ -300,7 +296,7 @@ def loop_vlm(d):
     return np.diag(d.flatten(order="F")) @ (k_pp - d_pp + np.eye(n))
 
 
-def test_vlm_matches_monte_carlo_vec_covariance():
+def test_d00_matches_monte_carlo_vec_s0_covariance():
     # empirical covariance of sqrt(T) vec(S_0) for bivariate white noise
     T, reps = 20000, 2000
     rng = np.random.default_rng(123)
@@ -309,7 +305,7 @@ def test_vlm_matches_monte_carlo_vec_covariance():
         x = rng.standard_normal((2, T))
         vecs[r] = autocov_set(x, ()).s0.flatten(order="F") * np.sqrt(T)
     emp = np.cov(vecs.T)
-    v00 = loop_vlm(white_model(2).d[0, 0])
+    v00 = vec_s0_covariance(white_model(2).d[0, 0])
     assert np.max(np.abs(emp - v00)) < 0.1 * np.max(np.abs(v00))
 
 
@@ -317,8 +313,8 @@ def test_vlm_matches_monte_carlo_vec_covariance():
 def test_global_criteria_match_independent_evaluation(monkeypatch, name):
     monkeypatch.setattr(signal_model, "_TAIL_TOL", 1e-14)
     model = build_model(sorted_expansions(name), LAGS)
-    d = global_criterion(asv_deflation(model))
-    s = global_criterion(asv_symmetric(model))
+    d = global_criterion(asv(model, "deflation"))
+    s = global_criterion(asv(model, "symmetric"))
     ref_d, ref_s = FROZEN_GLOBAL[name]
     np.testing.assert_allclose(d, ref_d, rtol=1e-12)
     np.testing.assert_allclose(s, ref_s, rtol=1e-12)
@@ -327,8 +323,8 @@ def test_global_criteria_match_independent_evaluation(monkeypatch, name):
 def test_diagonal_entries_agree_between_methods():
     for name in ("a", "d"):
         model = build_model(sorted_expansions(name), LAGS)
-        defl = asv_deflation(model).per_element
-        sym = asv_symmetric(model).per_element
+        defl = asv(model, "deflation").per_element
+        sym = asv(model, "symmetric").per_element
         np.testing.assert_array_equal(np.diag(defl), np.diag(sym))
         np.testing.assert_allclose(np.diag(defl), 0.25 * np.diag(model.d[0, 0]),
                                    atol=1e-14)
@@ -339,8 +335,8 @@ def test_one_lag_tables_agree_and_are_amuse_tables():
     for name in ("a", "c", "d"):
         for k in (1, 2, 3):
             model = build_model(sorted_expansions(name), (k,))
-            sym = asv_symmetric(model).per_element
-            np.testing.assert_allclose(asv_deflation(model).per_element, sym, rtol=1e-14)
+            sym = asv(model, "symmetric").per_element
+            np.testing.assert_allclose(asv(model, "deflation").per_element, sym, rtol=1e-14)
             np.testing.assert_array_equal(asv(model, "amuse").per_element, sym)
     with pytest.raises(ValueError, match="tau"):
         asv(build_model(sorted_expansions("c"), (1, 2)), "amuse")
@@ -349,7 +345,7 @@ def test_one_lag_tables_agree_and_are_amuse_tables():
 def test_single_component_table():
     exps = [expand_to_ma(SourceSpec("ar", ar=(0.6,)))]
     model = build_model(exps, LAGS)
-    table = asv_symmetric(model)
+    table = asv(model, "symmetric")
     assert table.per_element.shape == (1, 1)
     np.testing.assert_allclose(table.per_element[0, 0],
                                0.25 * model.d[0, 0, 0, 0], atol=1e-14)
@@ -361,10 +357,10 @@ def test_sign_flip_of_weights_leaves_tables_unchanged():
     flipped = [dataclasses.replace(e, psi=-e.psi) for e in exps]
     m1 = build_model(exps, LAGS)
     m2 = build_model(flipped, LAGS)
-    np.testing.assert_allclose(asv_deflation(m1).per_element,
-                               asv_deflation(m2).per_element, atol=1e-12)
-    np.testing.assert_allclose(asv_symmetric(m1).per_element,
-                               asv_symmetric(m2).per_element, atol=1e-12)
+    np.testing.assert_allclose(asv(m1, "deflation").per_element,
+                               asv(m2, "deflation").per_element, atol=1e-12)
+    np.testing.assert_allclose(asv(m1, "symmetric").per_element,
+                               asv(m2, "symmetric").per_element, atol=1e-12)
 
 
 def closed_form_ar1_dlm(phis, l, m, i, j, k_range=500):
@@ -388,7 +384,7 @@ def closed_form_ar1_dlm(phis, l, m, i, j, k_range=500):
 def test_deflation_entry_matches_symbolic_ar1(monkeypatch):
     phis = (0.6, 0.4, 0.2)
     exps = ar1_expansions(monkeypatch, phis, 1e-15)
-    table = asv_deflation(build_model(exps, LAGS)).per_element
+    table = asv(build_model(exps, LAGS), "deflation").per_element
 
     lam = np.array([[phi**k for phi in phis] for k in LAGS])
     mu = lam.T @ lam
@@ -407,7 +403,7 @@ def test_deflation_entry_matches_symbolic_ar1(monkeypatch):
 def test_symmetric_entry_matches_symbolic_ar1(monkeypatch):
     phis = (0.6, 0.4, 0.2)
     exps = ar1_expansions(monkeypatch, phis, 1e-15)
-    table = asv_symmetric(build_model(exps, LAGS)).per_element
+    table = asv(build_model(exps, LAGS), "symmetric").per_element
 
     lam = np.array([[phi**k for phi in phis] for k in LAGS])
     j, i = 2, 1
@@ -433,9 +429,9 @@ def test_build_model_sorts_into_estimator_order():
         model = build_model(exps, LAGS)
         assert model.order == order
         assert all(e is listed[i] for e, i in zip(model.expansions, (0, 2, 1)))
-        for fn in (asv_deflation, asv_symmetric):
-            np.testing.assert_array_equal(fn(model).per_element,
-                                          fn(ref).per_element)
+        for method in ("deflation", "symmetric"):
+            np.testing.assert_array_equal(asv(model, method).per_element,
+                                          asv(ref, method).per_element)
 
 
 def test_build_model_permutes_beta_with_the_components():
@@ -447,15 +443,15 @@ def test_build_model_permutes_beta_with_the_components():
     rev = build_model(exps[::-1], LAGS, beta=beta[::-1, ::-1])
     assert rev.order == (2, 1, 0)
     np.testing.assert_array_equal(rev.beta, beta)
-    for fn in (asv_deflation, asv_symmetric):
-        np.testing.assert_array_equal(fn(rev).per_element, fn(ref).per_element)
+    for method in ("deflation", "symmetric"):
+        np.testing.assert_array_equal(asv(rev, method).per_element, asv(ref, method).per_element)
 
 
 def test_listed_order_of_model_c_needs_no_sorting_by_the_caller():
     exps = [expand_to_ma(s) for s in benchmark_model("c")]
     model = build_model(exps, range(1, 11))
     assert model.order != (0, 1, 2)
-    got = global_criterion(asv_deflation(model))
+    got = global_criterion(asv(model, "deflation"))
     assert abs(got - FROZEN_GLOBAL["c"][0]) < 1e-8
 
 
@@ -463,29 +459,29 @@ def test_identical_components_rejected():
     exps = [expand_to_ma(SourceSpec("ar", ar=(0.5,))) for _ in range(2)]
     model = build_model(exps, LAGS)
     with pytest.raises(ValueError, match="identifiability failure"):
-        asv_deflation(model)
+        asv(model, "deflation")
     with pytest.raises(ValueError, match="pairwise identifiability failure"):
-        asv_symmetric(model)
+        asv(model, "symmetric")
 
 
 def test_all_white_component_rejected():
     model = white_model(1, lags=LAGS)
     with pytest.raises(ValueError, match="identifiability failure"):
-        asv_deflation(model)
+        asv(model, "deflation")
     with pytest.raises(ValueError, match="identifiability failure"):
-        asv_symmetric(model)
+        asv(model, "symmetric")
 
 
 def test_trailing_white_component_is_allowed():
     exps = [expand_to_ma(SourceSpec("ar", ar=(0.6,))),
             expand_to_ma(SourceSpec("psi", psi=(1.0,)))]
     model = build_model(exps, LAGS)
-    for table in (asv_deflation(model), asv_symmetric(model)):
+    for table in (asv(model, "deflation"), asv(model, "symmetric")):
         assert np.all(np.isfinite(table.per_element))
 
 
 def test_transform_identity_gamma_is_noop():
-    sigma = loop_vlm(white_model(2).d[0, 0])
+    sigma = vec_s0_covariance(white_model(2).d[0, 0])
     np.testing.assert_allclose(
         transform_general_mixing(sigma, np.eye(2)), sigma, atol=1e-14)
 
@@ -493,7 +489,7 @@ def test_transform_identity_gamma_is_noop():
 def test_transform_matches_explicit_kronecker():
     rng = np.random.default_rng(42)
     gamma = rng.uniform(-1, 1, size=(2, 2)) + 2 * np.eye(2)
-    sigma = loop_vlm(white_model(2).d[0, 0])
+    sigma = vec_s0_covariance(white_model(2).d[0, 0])
     out = transform_general_mixing(sigma, gamma, target="unmixing")
     ref = np.kron(gamma.T, np.eye(2)) @ sigma @ np.kron(gamma, np.eye(2))
     np.testing.assert_allclose(out, ref, atol=1e-12)
@@ -519,7 +515,7 @@ def test_empirical_asv_close_to_exact_for_ar1_model():
     acs = autocov_set(z, lags, centered=True)
     res = sobi_symmetric_jacobi(acs)
     emp = empirical_asv(z, res, lags).per_element
-    exact = asv_symmetric(build_model(sorted_expansions("d"), lags)).per_element
+    exact = asv(build_model(sorted_expansions("d"), lags), "symmetric").per_element
     off = ~np.eye(3, dtype=bool)
     assert np.max(np.abs(emp[off] - exact[off]) / exact[off]) < 0.3
 
@@ -624,7 +620,7 @@ def test_lags_past_every_support_read_zero_at_no_cost(name):
 
 def test_asv_table_row_sums():
     model = build_model(sorted_expansions("d"), LAGS)
-    table = asv_symmetric(model)
+    table = asv(model, "symmetric")
     np.testing.assert_allclose(table.row_sums(),
                                table.per_element.sum(axis=1), atol=1e-14)
 
@@ -713,9 +709,8 @@ def test_exact_tables_beyond_weight_support_match_closed_form_ar1(monkeypatch):
         np.testing.assert_allclose(model.d[at(l), at(m)], expected,
                                    rtol=1e-9, atol=1e-15)
     lam = np.array([[phi**k for phi in phis] for k in lags])
-    fns = {"deflation": asv_deflation, "symmetric": asv_symmetric}
-    for method, fn in fns.items():
-        np.testing.assert_allclose(fn(model).per_element,
+    for method in ("deflation", "symmetric"):
+        np.testing.assert_allclose(asv(model, method).per_element,
                                    reference_table(lam, lags, d, method),
                                    rtol=1e-9)
     # asv(model, method) takes a formula or a solver name
@@ -723,7 +718,7 @@ def test_exact_tables_beyond_weight_support_match_closed_form_ar1(monkeypatch):
         method = name.split("-")[0]
         table = asv(model, name)
         assert table.method == method
-        np.testing.assert_array_equal(table.per_element, fns[method](model).per_element)
+        np.testing.assert_array_equal(table.per_element, asv(model, method).per_element)
     for name in ("amuse", "bogus"):
         with pytest.raises(ValueError, match="no ASV"):
             asv(model, name)

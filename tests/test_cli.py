@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sobikit
 from sobikit import asymptotics, cli
 from sobikit.asymptotics import asv, global_criterion
 from sobikit.autocovariance import AutocovSet, autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
 from sobikit.joint_diag import (
+    _KERNELS,
     BlockFit,
     amuse,
     sobi_deflation,
@@ -106,6 +111,16 @@ def dataset(tmp_path_factory):
     return path
 
 
+def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
+    # they are most of a cold start; only filtering and mdi at p > 5 import them
+    code = ("import sys, sobikit.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(sobikit.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_read_series_rows_are_contiguous(dataset):
     # loadtxt reads rows = time points; its transpose would be strided
     x = _read_series(dataset)
@@ -121,7 +136,7 @@ def test_results_do_not_depend_on_the_memory_layout():
 
     def outputs(series):
         acs = autocov_set(series, lags, centered=True)
-        fits = [cli._METHODS[name][0](acs, args) for name in cli._METHODS]
+        fits = [cli._fit(acs, name, args) for name in _KERNELS]
         tables = [asymptotics.empirical_asv(series, fit, lags).per_element
                   for fit in fits if fit.method != "amuse"]  # amuse takes one lag
         return [acs.s0, acs.sk, *(f.gamma for f in fits), *tables]
@@ -195,6 +210,23 @@ def test_separate_amuse_tau(dataset, tmp_path):
     assert main(["separate", "--data", dataset, "--lags", "1-5",
                  "--method", "amuse", "--tau", "2", "--output", out]) == 0
     assert json.loads((tmp_path / "amuse.json").read_text())["method"] == "amuse"
+
+
+def test_separate_amuse_reports_an_eigenvalue_tie(tmp_path):
+    # three sources on disjoint stretches of time, the first two equal: the
+    # uncentred S_0 and S_1 are diagonal, and R_1 has a tied pair of eigenvalues
+    a, c = simulate_sources([SourceSpec("ar", ar=(0.5,)), SourceSpec("ar", ar=(-0.3,))],
+                            400, 0)
+    x = np.zeros((3, 3 * 420))
+    for i, s in enumerate((a, a, c)):
+        x[i, 420 * i + 10: 420 * i + 410] = s
+    data = tmp_path / "tie.csv"
+    np.savetxt(data, x.T, delimiter=",", fmt="%.17g")
+    with pytest.warns(RuntimeWarning, match="eigenvalue tie"):
+        code = main(["separate", "--data", str(data), "--lags", "1", "--method", "amuse",
+                     "--no-center", "--output", str(tmp_path / "sep")])
+    assert code == 0
+    assert json.loads((tmp_path / "sep.json").read_text())["warnings"] == ["eigenvalue tie"]
 
 
 def test_asv_single_lag_finite(tmp_path, capsys):
@@ -396,7 +428,7 @@ def test_every_method_has_a_kernel_and_a_one_lag_asv():
     parser = cli.build_parser()
     for argv in (["separate", "--data", "x.csv", "--lags", "1", "--output", "o"],
                  ["lagselect", "--data", "x.csv", "--lag-sets", "1;2"]):
-        for name in cli._METHODS:
+        for name in _KERNELS:
             assert parser.parse_args(argv + ["--method", name]).method == name
     args = parser.parse_args(["benchmark", "--preset", "d", "--lags", "1",
                               "--T-values", "300"])
@@ -404,8 +436,9 @@ def test_every_method_has_a_kernel_and_a_one_lag_asv():
     acs = [autocov_set(simulate_sources(benchmark_model("d"), 600, rep), lags) for rep in reps]
     R = np.stack([autocorrelations(a) for a in acs])
     model = cli._exact_model(benchmark_model("d"), (1,))
-    fits = {name: cli._METHODS[name][1](R, lags, args, reps)
-            for name in cli._METHODS}
+    rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
+    fits = {name: _KERNELS[name](R, lags, rngs, **cli._kernel_options(args, name))
+            for name in _KERNELS}
     for name, fit in fits.items():
         assert isinstance(fit, BlockFit) and fit.u.shape == (2, 3, 3)
         assert np.all(fit.converged)
@@ -743,7 +776,7 @@ def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
     for spec in sets.split(";"):
         lags = _parse_lags(spec)
         acs = autocov_set(x, lags, centered=True)
-        result = cli._METHODS[method][0](acs, args)
+        result = cli._fit(acs, method, args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=kmax)
         expected.append((float(table.row_sums().sum()), " ".join(map(str, lags))))
     expected.sort()
@@ -907,7 +940,7 @@ def test_asv_names_the_formulas_that_fail():
     assert run_main(["asv", "--preset", "b", "--lags", "1-3"]) == (
         1, "", ["error: deflation: identifiability failure"])
     model = asymptotics.build_model([expand_to_ma(s) for s in benchmark_model("b")], (1, 2, 3))
-    crit = global_criterion(asymptotics.asv_symmetric(model))
+    crit = global_criterion(asymptotics.asv(model, "symmetric"))
     assert run_main(["asv", "--preset", "b", "--lags", "1-3", "--method", "symmetric"]) == (
         0, f"symmetric,global,{crit:.17g}\n", [])
     # the value of the per-shift matmul D kernel, which the FFT one moved by 2 ulp

@@ -320,23 +320,19 @@ def test_deflation_block_matches_each_problem_alone(options):
                                     range(1, 11), centered=True))
               for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800),
                                           ("a", 5000), ("b", 4000)])]
-    block = deflation_block(np.stack(stacks),
+    block = deflation_block(np.stack(stacks), None,
                             [np.random.default_rng((9, s)) for s in range(5)], **options)
     for s, r in enumerate(stacks):
-        alone = deflation_block(r[None], [np.random.default_rng((9, s))], **options)
+        alone = deflation_block(r[None], None, [np.random.default_rng((9, s))], **options)
         for got, want in zip(block, alone):
             np.testing.assert_array_equal(got[s], want[0])
-
-
-def fixedpoint_from_lag_1(R, **options):
-    return fixedpoint_block(R, tuple(range(1, R.shape[1] + 1)), **options)
 
 
 @pytest.mark.parametrize("kernel,options", [
     pytest.param(jacobi_block, {}, id="options0"),
     pytest.param(jacobi_block, {"max_sweeps": 2}, id="options1"),
-    pytest.param(fixedpoint_from_lag_1, {}, id="fixedpoint-options0"),
-    pytest.param(fixedpoint_from_lag_1, {"max_iter": 3}, id="fixedpoint-options1")])
+    pytest.param(fixedpoint_block, {}, id="fixedpoint-options0"),
+    pytest.param(fixedpoint_block, {"max_iter": 3}, id="fixedpoint-options1")])
 def test_jacobi_block_matches_each_problem_alone(kernel, options):
     # an already diagonal problem is solved at once and leaves the block first
     planted = planted_acs([[0.9**k, 0.5**k, 0.1**k] for k in range(1, 11)])
@@ -344,10 +340,10 @@ def test_jacobi_block_matches_each_problem_alone(kernel, options):
         lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
                               range(1, 11), centered=True))
         for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800)])]
-    block = kernel(np.stack(stacks), **options)
+    block = kernel(np.stack(stacks), tuple(range(1, 11)), None, **options)
     assert block.converged[0] and block.iterations[0] < block.iterations[1:].min()
     for s, r in enumerate(stacks):
-        alone = kernel(r[None], **options)
+        alone = kernel(r[None], tuple(range(1, 11)), None, **options)
         for got, want in zip(block, alone):
             np.testing.assert_array_equal(got[s], want[0])
 
@@ -474,9 +470,9 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
     stacks = np.stack([lag_stack(autocov_set(simulate_sources(benchmark_model(name), T, s),
                                              range(1, 11), centered=True))
                        for s in range(6)])
-    defl = deflation_block(stacks, [np.random.default_rng((s, 1)) for s in range(6)])
-    jac = jacobi_block(stacks)
-    fp = fixedpoint_block(stacks, tuple(range(1, 11)))
+    defl = deflation_block(stacks, None, [np.random.default_rng((s, 1)) for s in range(6)])
+    jac = jacobi_block(stacks, None, None)
+    fp = fixedpoint_block(stacks, tuple(range(1, 11)), None)
     for s, r in enumerate(stacks):
         rows, iters, conv = sequential_deflation_rows(r, np.random.default_rng((s, 1)))
         u = np.vstack([rows, null_space(rows)[:, 0]])
@@ -513,11 +509,11 @@ class _CollapsedDraws:
 def test_deflation_falls_back_when_every_restart_collapses():
     A = np.random.default_rng(1).standard_normal((4, 3, 3))
     R = np.stack([A + A.mT] * 2)
-    fit = deflation_block(R, [_CollapsedDraws(), np.random.default_rng(0)])
+    fit = deflation_block(R, None, [_CollapsedDraws(), np.random.default_rng(0)])
     # the fallback rows are orthonormal, and only their problem is flagged
     np.testing.assert_allclose(fit.u[0] @ fit.u[0].T, np.eye(3), atol=1e-12)
     assert fit.converged.tolist() == [False, True]
     assert fit.iterations[0] == 0
     # the other problem gets what it gets alone
-    alone = deflation_block(R[1:], [np.random.default_rng(0)])
+    alone = deflation_block(R[1:], None, [np.random.default_rng(0)])
     np.testing.assert_array_equal(fit.u[1], alone.u[0])

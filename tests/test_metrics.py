@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobikit.asymptotics import asv_symmetric, build_model, global_criterion
+from sobikit.asymptotics import asv, build_model, global_criterion
 from scipy.optimize import linear_sum_assignment
 
 from sobikit.metrics import amari, mdi
@@ -153,4 +153,4 @@ def test_validation_errors():
 def test_expected_limit_of_model_c_symmetric():
     exps = [expand_to_ma(s) for s in benchmark_model("c")]
     model = build_model(exps, range(1, 11))
-    assert abs(global_criterion(asv_symmetric(model)) - 9.4) < 0.05
+    assert abs(global_criterion(asv(model, "symmetric")) - 9.4) < 0.05
