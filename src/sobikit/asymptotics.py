@@ -103,9 +103,10 @@ class ASVTable:
 
     def __post_init__(self):
         pe = np.asarray(self.per_element, dtype=float)
-        if not np.all(np.isfinite(pe)):
+        lo, hi = pe.min(), pe.max()
+        if not -np.inf < lo <= hi < np.inf:  # also fails on nan
             raise ValueError("ASV entries must be finite")
-        if pe.min() < -1e-9:
+        if lo < -1e-9:
             raise _NegativeASV("negative ASV entry; inconsistent model")
         object.__setattr__(self, "per_element", np.maximum(pe, 0.0))
 
@@ -131,10 +132,11 @@ def build_model(
     of lambda_k^2; sorted sums that differ from a neighbour by at most
     ``_IDENT_TOL`` times the largest sum are tied, and a chain of ties keeps
     the listed order.  The permutation is kept as ``order``.  ``beta``
-    defaults to independent normal innovations (diagonal 3, off-diagonal 1);
-    other beta adds (beta_ii - 3) lambda_l lambda_m to the diagonal of D and
-    (beta_ij - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij off it, (F_k)_ij =
-    sum_t psi_{t,i} psi_{t+k,j}, formed at (0,) + lags only.
+    defaults to normal innovations (diagonal 3, off-diagonal 1), whose
+    fourth-moment terms are exact zeros and are not formed.  A given beta
+    adds (beta_ii - 3) lambda_l lambda_m to the diagonal of D and (beta_ij
+    - 1) / 4 (F_l + F_l')_ij (F_m + F_m')_ij off it, (F_k)_ij = sum_t
+    psi_{t,i} psi_{t+k,j}, formed at (0,) + lags only.
     """
     expansions = tuple(expansions)
     p = len(expansions)
@@ -142,40 +144,42 @@ def build_model(
         raise ValueError("at least one expansion is required")
     lags = _check_lags(lags)
 
-    beta = np.eye(p) * 2.0 + 1.0 if beta is None else np.asarray(beta, dtype=float)
-    if beta.shape != (p, p):
-        raise ValueError("beta must be p x p")
-    if np.max(np.abs(beta - beta.T)) > 1e-12:
-        raise ValueError("beta must be symmetric")
-    if np.any(np.diag(beta) < 1.0):
-        raise ValueError("beta diagonal must be at least 1")
+    if beta is not None:
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != (p, p):
+            raise ValueError("beta must be p x p")
+        if np.max(np.abs(beta - beta.T)) > 1e-12:
+            raise ValueError("beta must be symmetric")
+        if np.any(np.diag(beta) < 1.0):
+            raise ValueError("beta diagonal must be at least 1")
 
     support = max(e.psi.size for e in expansions)
     seqs = np.zeros((p, support + 1))
     for i, e in enumerate(expansions):
         seqs[i, : e.psi.size] = np.correlate(e.psi, e.psi, "full")[e.psi.size - 1:]
-    if np.max(np.abs(seqs[:, 0] - 1.0)) > 1e-12:
+    if np.abs(seqs[:, 0] - 1.0).max() > 1e-12:
         raise ValueError("expansions are not unit variance")
     at = seqs[:, np.minimum((0, *lags), support)]  # lambda at (0,) + lags
     strength = (at[:, 1:] ** 2).sum(axis=1)
     order = np.argsort(-strength, kind="stable")
-    run = np.r_[0, np.cumsum(-np.diff(strength[order]) > _IDENT_TOL * strength.max())]
-    order = order[np.lexsort((order, run))]
+    run = np.cumsum(np.diff(strength[order]) < -_IDENT_TOL * strength.max())
+    order = order[np.lexsort((order, np.concatenate(([0], run))))]
     expansions = tuple(expansions[i] for i in order)
-    beta = beta[np.ix_(order, order)]
     seqs, at = seqs[order], at[order].T
 
     d = _d_tensor(seqs, lags)
-    # the fourth-moment terms, each zero for normal innovations
-    idx = np.arange(p)
-    d[:, :, idx, idx] += (np.diag(beta) - 3.0) * at[:, None] * at[None, :]
-    q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
-    if q.any():
-        padded = np.array([np.pad(e.psi, (0, support - e.psi.size)) for e in expansions])
-        f = np.stack([padded[:, : max(support - k, 0)] @ padded[:, k:].T for k in (0, *lags)])
-        fsym = f + f.transpose(0, 2, 1)
-        d += q * (fsym[:, None] * fsym[None, :])
-    return AsymptoticModel(expansions=expansions, beta=beta, lags=lags, lam=at[1:], d=d,
+    if beta is not None:  # the fourth-moment terms, zero for the normal default
+        beta = beta[order[:, None], order]
+        idx = np.arange(p)
+        d[:, :, idx, idx] += (np.diag(beta) - 3.0) * at[:, None] * at[None, :]
+        q = 0.25 * (beta - 1.0) * (1.0 - np.eye(p))
+        if q.any():
+            psi = np.array([np.pad(e.psi, (0, support - e.psi.size)) for e in expansions])
+            f = np.stack([psi[:, : max(support - k, 0)] @ psi[:, k:].T for k in (0, *lags)])
+            fsym = f + f.transpose(0, 2, 1)
+            d += q * (fsym[:, None] * fsym[None, :])
+    return AsymptoticModel(expansions=expansions, lags=lags, lam=at[1:], d=d,
+                           beta=np.eye(p) * 2.0 + 1.0 if beta is None else beta,
                            order=tuple(order.tolist()))
 
 
@@ -202,18 +206,18 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     if nbytes > _D_MAX_BYTES:
         raise ValueError(f"{len(lags)} lags need a {nbytes / 2**20:.0f} MiB D tensor, "
                          f"over the {_D_MAX_BYTES >> 20} MiB bound")
-    lags = np.r_[0, np.asarray(lags, dtype=int)]
+    lags = np.array((0, *lags))
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
     p, size, L = len(seqs), lags.size, diag_seqs.shape[1]
     nfft = sp_fft.next_fast_len(L + min(2 * int(lags.max()), L - 1), real=True)
     spec = sp_fft.rfft(diag_seqs, nfft)
-    near, far = np.minimum([abs(lags[:, None] - lags), lags[:, None] + lags], L)
-    d = np.empty((p, p, size, size))  # (i, j, a, b) while built: one block per pair
+    near, far = abs(lags[:, None] - lags), lags[:, None] + lags
+    d = np.empty((p, p, size, size))  # (i, j, a, b): one C-contiguous block per pair
     for i in range(p):  # row i against every j >= i holds O(p nfft) at a time
-        r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)
+        r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)[:, : L + 1]
         r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
-        r[:, L] = 0.0
-        d[i, i:] = r.take(near, axis=1) + r.take(far, axis=1)
+        r[:, L] = 0.0  # mode="clip" reads every shift past L here
+        d[i, i:] = r.take(near, axis=1, mode="clip") + r.take(far, axis=1, mode="clip")
         d[i + 1:, i] = d[i, i + 1:]
     return d.transpose(2, 3, 0, 1)
 
@@ -221,41 +225,36 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
 def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
     """Closed-form ASVs from lambda rows (lag x component) and D over (0,) + lags.
 
-    Entry (j, i) off the diagonal is w' D[:, :, j, i] w / den^2.  Symmetric:
-    w = (-nu, lambda_j - lambda_i), den = |lambda_j - lambda_i|^2.
-    Deflation: w = (-mu_ref, lambda_r) with r = min(i, j), and mu_ref and
-    den set by whether the row is extracted before or after the interfering
-    component.  Diagonal entries are (D_00)_jj / 4.
+    Entry (j, i) off the diagonal is w' D[:, :, j, i] w / den^2, all in one
+    batched matmul.  Symmetric: w = (-nu, lambda_j - lambda_i), nu = lambda_j'
+    (lambda_j - lambda_i), den = |lambda_j - lambda_i|^2.  Deflation, with r =
+    min(i, j) extracted first and mu = lambda' lambda: w = (-mu_rj, lambda_r),
+    den = mu_rj - mu_ri.  Diagonal entries are (D_00)_jj / 4.
     """
     p = lam.shape[1]
     s = (lam**2).sum(axis=0)
     scale = float(s.max())
-    if scale <= _IDENT_TOL:
-        # no serial dependence at the analysis lags, nothing to separate
+    if scale <= _IDENT_TOL or (
+            method == "deflation" and np.any(s[1:] - s[:-1] >= -_IDENT_TOL * scale)):
         raise ValueError("identifiability failure")
-    off = ~np.eye(p, dtype=bool)
+    idx = np.arange(p)
     if method == "deflation":
-        if np.any(np.diff(s) >= -_IDENT_TOL * scale):
-            raise ValueError("identifiability failure")
+        r = np.minimum(idx, idx[:, None])  # of j and i, the component extracted first
         mu = lam.T @ lam
-        mu_jj = np.diag(mu)
-        earlier = np.arange(p)[None, :] < np.arange(p)[:, None]  # i < j
-        ref = np.where(earlier, mu.T, mu_jj[:, None])
-        den = np.where(earlier, mu.T - mu_jj[None, :], mu_jj[:, None] - mu)
-        if np.any(np.abs(den[off]) <= _IDENT_TOL * scale):
-            raise ValueError("identifiability failure")
-        w = lam.T[np.minimum.outer(np.arange(p), np.arange(p))]
+        ref = mu[r, idx[:, None]]
+        den = np.abs(ref - mu[r, idx])
+        w = lam.T[r]
     else:
-        w = lam.T[:, None, :] - lam.T[None, :, :]
+        w = lam.T[:, None, :] - lam.T
         den = (w**2).sum(axis=-1)
-        if np.any(den[off] <= _IDENT_TOL * scale):
-            raise ValueError("pairwise identifiability failure")
-        ref = np.einsum("ja,jia->ji", lam.T, w)
+        ref = (w @ lam.T[:, :, None])[..., 0]
+    den.flat[:: p + 1] = np.inf  # the diagonal takes no check and no quotient
+    if np.any(den <= _IDENT_TOL * scale):
+        raise ValueError(("" if method == "deflation" else "pairwise ") + "identifiability failure")
     w = np.concatenate([-ref[..., None], w], axis=-1)
-    num = np.einsum("jia,abji,jib->ji", w, d, w)
-    np.fill_diagonal(den, 1.0)
+    num = (w[..., None, :] @ d.transpose(2, 3, 0, 1) @ w[..., :, None])[..., 0, 0]
     out = num / den**2
-    np.fill_diagonal(out, 0.25 * np.diag(d[0, 0]))
+    out.flat[:: p + 1] = 0.25 * d[0, 0].diagonal()
     return ASVTable(per_element=out, method=method)
 
 
@@ -293,7 +292,7 @@ def asv(model: AsymptoticModel, method: str) -> ASVTable:
 def global_criterion(table: ASVTable) -> float:
     """Sum of off-diagonal ASVs: expected limit of T (p-1) D_hat^2."""
     pe = table.per_element
-    return float(pe.sum() - np.trace(pe))
+    return float(pe.sum() - pe.trace())
 
 
 def transform_general_mixing(sigma: np.ndarray, gamma: np.ndarray,

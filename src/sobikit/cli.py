@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -83,6 +85,20 @@ def _load_model(path: str | None, preset: str | None):
     return specs, omega, mu
 
 
+def _check_writable(args):
+    """Stop before any work when an output file cannot be written (separate's
+    --output is a prefix). Nothing is opened, so a symlink or FIFO is left as it is."""
+    suffixes = (".csv", ".json") if args.command == "separate" else ("",)
+    for path in [args.output + s for s in suffixes] if args.output else []:
+        real = os.path.realpath(path)  # a dangling link is written at its target
+        parent = os.path.dirname(real)
+        code = (errno.EISDIR if os.path.isdir(real) else errno.ENOENT if not os.path.isdir(parent)
+                else 0 if os.access(real if os.path.exists(real) else parent, os.W_OK)
+                else errno.EACCES)
+        if code:
+            raise OSError(code, os.strerror(code), path)
+
+
 def _write_series(path: str, x: np.ndarray, header: bool):
     head = ",".join(f"x{i+1}" for i in range(x.shape[0])) if header else ""
     np.savetxt(path, x.T, delimiter=",", fmt="%.17g", header=head, comments="")
@@ -110,18 +126,11 @@ def _read_series(path: str) -> np.ndarray:
     return np.ascontiguousarray(data.T)
 
 
-def _exact_model(specs, lags):
-    """ASV model of the specs, which ``build_model`` puts in estimator order."""
-    return asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
-
-
 def cmd_simulate(args) -> int:
     specs, omega, mu = _load_model(args.model, args.preset)
     z = simulate_sources(specs, args.T, args.seed)
     if args.mix:
-        p = len(specs)
-        model = MixingModel(omega if omega is not None else np.eye(p), mu)
-        z = mix(z, model)
+        z = mix(z, MixingModel(omega if omega is not None else np.eye(len(specs)), mu))
     _write_series(args.output, z, args.header)
     return 0
 
@@ -137,8 +146,7 @@ def cmd_separate(args) -> int:
             raise ValueError(f"{args.omega}: the mixing matrix must be {p} x {p}, "
                              f"not {omega.shape[0]} x {omega.shape[1]}")
     result = _fit(autocov_set(x, lags, centered=not args.no_center), args.method, args)
-    z = result.gamma @ (x - x.mean(axis=1, keepdims=True)
-                        if not args.no_center else x)
+    z = result.gamma @ (x if args.no_center else x - x.mean(axis=1, keepdims=True))
     report = {
         "gamma": result.gamma.tolist(),
         "method": result.method,
@@ -155,8 +163,7 @@ def cmd_separate(args) -> int:
     _write_series(args.output + ".csv", z, args.header)
     with open(args.output + ".json", "w") as fh:
         json.dump(report, fh, indent=2)
-    print(f"{result.method}: converged={result.converged} "
-          f"residual={result.residual:.3e}"
+    print(f"{result.method}: converged={result.converged} residual={result.residual:.3e}"
           + (f" mdi={report['mdi']:.6g}" if "mdi" in report else ""))
     return 0
 
@@ -164,7 +171,7 @@ def cmd_separate(args) -> int:
 def cmd_asv(args) -> int:
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
-    model = _exact_model(specs, lags)
+    model = asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
     methods = ("deflation", "symmetric") if args.method == "both" else (args.method,)
     lines = ["method,row,col,value"]
     for method in methods:
@@ -269,7 +276,7 @@ def cmd_benchmark(args) -> int:
             raise ValueError(f"{option}: an entry is repeated")
 
     expected = {}
-    model = _exact_model(specs, lags)
+    model = asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
     for method in methods:
         try:
             expected[method] = asymptotics.global_criterion(asymptotics.asv(model, method))
@@ -433,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,7 +102,7 @@ class MAExpansion:
     psi: np.ndarray
 
     def __post_init__(self):
-        total = float(np.sum(self.psi**2))
+        total = float((self.psi**2).sum())
         if not abs(total - 1.0) <= 1e-12:  # also fails on nan
             raise ValueError("psi weights are not normalized to unit variance")
 
@@ -153,44 +153,39 @@ def _squares(w: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _expand_raw(spec: SourceSpec) -> tuple[np.ndarray, float]:
-    """Unnormalized psi weights, truncated to relative tail mass below
-    ``_TAIL_TOL``, and the root of the sum of their squares."""
-    if spec.psi:
-        raw = np.asarray(spec.psi, dtype=float)
-    elif spec.ar:
-        raw = _expand_filter(spec)
-    else:
-        raw = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
-    if raw.size > _MAX_LEN:
-        raise ValueError("truncation overflow")
-    return raw, np.sqrt(_squares(raw)[1])
-
-
-def _expand_filter(spec: SourceSpec) -> np.ndarray:
-    """Impulse response of an AR or ARMA spec, truncated as ``_expand_raw`` says."""
+    """Unnormalized psi weights and the root of the sum of their squares,
+    each weight squared and summed once.  An AR or ARMA spec's weights are
+    its impulse response, truncated to relative tail mass below ``_TAIL_TOL``."""
+    if not spec.ar:
+        raw = np.asarray(spec.psi, dtype=float) if spec.psi else np.array((1.0, *spec.ma))
+        if raw.size > _MAX_LEN:
+            raise ValueError("truncation overflow")
+        return raw, np.sqrt(_squares(raw)[1])
     from scipy.signal import lfilter  # imported on use: scipy.signal is slow to import
-    b = np.r_[1.0, np.asarray(spec.ma, dtype=float)]
-    a = np.r_[1.0, -np.asarray(spec.ar, dtype=float)]
+    b, a = _filter_coefs(spec)
     n = max(256, b.size)
     while True:
         impulse = np.zeros(n)
         impulse[0] = 1.0
         psi = lfilter(b, a, impulse)
         sq, total = _squares(psi)
-        # tail(N) = mass strictly beyond index N within the buffer, summed
-        # from the small end so values far below eps*total stay resolvable;
-        # the buffer is long enough once its last tenth holds so little mass
+        # rest[N] = mass from index N on within the buffer, summed from the
+        # small end so values far below eps*total stay resolvable; the
+        # buffer is long enough once its last tenth holds so little mass
         # that anything beyond it cannot disturb a _TAIL_TOL-level truncation
-        tail = np.r_[np.cumsum(sq[::-1])[::-1][1:], 0.0]
-        if tail[(9 * n) // 10] < 1e-4 * _TAIL_TOL * total:
-            hits = np.nonzero(tail < _TAIL_TOL * total)[0]
-            n_keep = hits[0] + 1
+        rest = np.cumsum(sq[::-1])[::-1]
+        if rest[(9 * n) // 10 + 1] < 1e-4 * _TAIL_TOL * total:
+            n_keep = np.argmax(rest < _TAIL_TOL * total)  # rest[0] is about total
             if n_keep > _MAX_LEN:
                 raise ValueError("truncation overflow")
-            return psi[:n_keep]
+            return psi[:n_keep], np.sqrt(sq[:n_keep].sum())
         if n >= _MAX_LEN:
             raise ValueError("truncation overflow")
         n = min(2 * n, _MAX_LEN)
+
+
+def _filter_coefs(spec: SourceSpec) -> tuple[np.ndarray, np.ndarray]:
+    return np.array((1.0, *spec.ma)), np.array((1.0, *(-a for a in spec.ar)))
 
 
 def expand_to_ma(spec: SourceSpec) -> MAExpansion:
@@ -237,9 +232,7 @@ def _plan_sources(specs) -> _SourcePlan:
     for s in specs:
         raw, norm = _expand_raw(s)
         if s.ar:
-            b = np.r_[1.0, np.asarray(s.ma, dtype=float)]
-            a = np.r_[1.0, -np.asarray(s.ar, dtype=float)]
-            parts.append((_BURN_IN, _BURN_IN, b, a, norm))
+            parts.append((_BURN_IN, _BURN_IN, *_filter_coefs(s), norm))
         else:
             parts.append((raw.size - 1, 0, raw / norm, None, norm))
     pre = max(part[0] for part in parts)

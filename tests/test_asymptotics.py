@@ -252,6 +252,57 @@ def test_criteria_within_tolerance_keep_listed_order(gap, stronger_leads):
             assert build_model(exps, lags).order == want
 
 
+@pytest.mark.parametrize("lags", [LAGS, lag_preset("preset1")], ids=["1-10", "preset1"])
+@pytest.mark.parametrize("name", "abcd")
+def test_default_beta_is_normal_beta_without_its_zero_terms(name, lags):
+    # the default skips the fourth-moment terms, which add exact zeros at normal beta
+    exps = [expand_to_ma(s) for s in benchmark_model(name)]
+    model = build_model(exps, lags)
+    explicit = build_model(exps, lags, beta=np.eye(3) * 2 + 1)
+    for field in ("d", "lam", "order", "beta"):
+        np.testing.assert_array_equal(getattr(model, field), getattr(explicit, field))
+
+
+def einsum_table(lam, d, method):
+    """``_asv_table`` with its quadratic form written as the three-operand
+    einsum over the (a, b, j, i) view of D that it replaced."""
+    p = lam.shape[1]
+    if method == "deflation":
+        mu = lam.T @ lam
+        mu_jj = np.diag(mu)
+        earlier = np.arange(p)[None, :] < np.arange(p)[:, None]
+        ref = np.where(earlier, mu.T, mu_jj[:, None])
+        den = np.where(earlier, mu.T - mu_jj[None, :], mu_jj[:, None] - mu)
+        w = lam.T[np.minimum.outer(np.arange(p), np.arange(p))]
+    else:
+        w = lam.T[:, None, :] - lam.T[None, :, :]
+        den = (w**2).sum(axis=-1)
+        ref = np.einsum("ja,jia->ji", lam.T, w)
+    w = np.concatenate([-ref[..., None], w], axis=-1)
+    num = np.einsum("jia,abji,jib->ji", w, d, w)
+    np.fill_diagonal(den, 1.0)
+    out = num / den**2
+    np.fill_diagonal(out, 0.25 * np.diag(d[0, 0]))
+    return out
+
+
+def test_asv_table_matches_the_einsum_quadratic_form(monkeypatch):
+    cases = [(model.lam, model.d) for model in
+             (build_model([expand_to_ma(s) for s in benchmark_model(name)], lags)
+              for name in "abcd" for lags in (LAGS, lag_preset("preset1")))]
+    # one plug-in lambda and D, as empirical_asv hands them to the table
+    x = simulate_sources(benchmark_model("c"), T=2000, seed=5)
+    table = asymptotics._asv_table
+    monkeypatch.setattr(asymptotics, "_asv_table",
+                        lambda *args: cases.append(args[:2]) or table(*args))
+    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
+    assert len(cases) == 9
+    for lam, d in cases:
+        for method in ("deflation", "symmetric"):
+            np.testing.assert_allclose(table(lam, d, method).per_element,
+                                       einsum_table(lam, d, method), rtol=1e-13)
+
+
 def test_build_model_validation():
     exps = sorted_expansions("d")
     with pytest.raises(ValueError, match="duplicate"):

@@ -50,3 +50,25 @@ def test_source_lines_counts_each_trees_library_modules(tmp_path):
             path.write_text(text)
     assert bench_record.source_lines(tmp_path / "parent") == 2
     assert bench_record.source_lines(tmp_path / "change") == 1
+
+
+_AB_PATH = _PATH.parent / "ab_inprocess.py"
+_AB_SPEC = importlib.util.spec_from_file_location("ab_inprocess", _AB_PATH)
+ab_inprocess = importlib.util.module_from_spec(_AB_SPEC)
+_AB_SPEC.loader.exec_module(ab_inprocess)
+
+
+def test_ab_inprocess_a_a_run_is_correct_on_both_sides():
+    # the same tree on both sides, imported under two package names
+    root = _PATH.parent.parent
+    record = ab_inprocess.compare({"parent": root, "change": root}, "asv_tables", "tiny",
+                                  seed=0, rounds=2)
+    assert record["correct"] == {"parent": True, "change": True}
+    assert record["failures"] == {"parent": [], "change": []}
+    assert record["unit_ops"] == 4
+    for side in ("parent", "change"):
+        times = record["unit_ms"][side]
+        assert {"median", "q1", "q3"} <= times.keys() and len(times["runs"]) == 2
+        assert all(t > 0 for t in times["runs"])
+    assert {"median", "q1", "q3"} <= record["ratio"].keys() and len(record["ratio"]["runs"]) == 2
+    assert 0 <= record["change_won"] <= 2

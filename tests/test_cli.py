@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -435,7 +436,7 @@ def test_every_method_has_a_kernel_and_a_one_lag_asv():
     lags, reps = (3, 1, 2), range(4, 6)
     acs = [autocov_set(simulate_sources(benchmark_model("d"), 600, rep), lags) for rep in reps]
     R = np.stack([autocorrelations(a) for a in acs])
-    model = cli._exact_model(benchmark_model("d"), (1,))
+    model = asymptotics.build_model([expand_to_ma(s) for s in benchmark_model("d")], (1,))
     rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
     fits = {name: _KERNELS[name](R, lags, rngs, **cli._kernel_options(args, name))
             for name in _KERNELS}
@@ -457,7 +458,8 @@ def test_benchmark_amuse_average_meets_its_exact_limit(preset):
                                           "--T-values", "4000"])
     vals = cli._mc_block(_plan_sources(specs), (1,), [4000], range(1000), ["amuse"], args)
     vals = np.asarray(vals[4000]["amuse"])
-    exact = global_criterion(asv(cli._exact_model(specs, (1,)), "amuse"))
+    exact = global_criterion(asv(asymptotics.build_model([expand_to_ma(s) for s in specs],
+                                                         (1,)), "amuse"))
     assert abs(vals.mean() - exact) < 4 * vals.std(ddof=1) / np.sqrt(vals.size)
 
 
@@ -758,6 +760,62 @@ def run_main(argv):
         except SystemExit as exc:  # argparse rejects the argv
             code = exc.code
     return code, out.getvalue(), err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("command", ["asv", "benchmark", "lagselect"])
+def test_unwritable_output_fails_before_any_work(dataset, tmp_path, command):
+    # the benchmark would take seconds and print its rows before writing
+    argv, failing = {
+        "asv": (["asv", "--preset", "b", "--lags", "1-10"], ["--lags", "0"]),
+        "benchmark": (["benchmark", "--preset", "b", "--lags", "1-10", "--T-values", "4000",
+                       "--reps", "300"], ["--reps", "0"]),
+        "lagselect": (["lagselect", "--data", dataset, "--lag-sets", "1-3;1-10"],
+                      ["--lag-sets", "1-3"]),
+    }[command]
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert run_main(argv + ["--output", missing]) == (
+        1, "", [f"error: [Errno 2] No such file or directory: {missing!r}"])
+    # the check leaves neither a new file nor a changed one when a later step fails
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert run_main(argv + failing + ["--output", str(path)])[:2] == (1, "")
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
+def test_output_through_a_dangling_symlink_or_a_fifo_reaches_its_target(tmp_path):
+    # the up-front check opens and creates nothing, so the one write goes where
+    # the path leads: a link's missing target, or a reader that opens the FIFO late
+    argv = ["asv", "--preset", "d", "--lags", "1-3", "--output"]
+    plain = tmp_path / "plain.csv"
+    code, stdout, err = run_main(argv + [str(plain)])
+    assert (code, err) == (0, [])
+    table = plain.read_text()
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    assert run_main(argv + [str(link)]) == (0, stdout, [])
+    assert link.is_symlink() and target.read_text() == table
+
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(sobikit.__file__).parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "sobikit.cli", *argv, str(fifo)], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        reader.start()  # no reader exists before the command starts
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the command never opened the FIFO: release the reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert (proc.returncode, out, err) == (0, stdout, "")
+    assert got == [table]
 
 
 @pytest.mark.parametrize("method", ["symmetric-jacobi", "deflation"])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobikit import signal_model
+from sobikit.presets import BENCHMARK_MODELS
 from sobikit.signal_model import (
     MAExpansion,
     MixingModel,
@@ -50,6 +51,51 @@ def test_psi_weights_are_unit_variance():
     ):
         psi = expand_to_ma(spec).psi
         assert abs(np.sum(psi**2) - 1.0) < 1e-12
+
+
+def two_pass_expansion(spec):
+    """The expansion in two passes: lfilter's impulse response, a tail array
+    of the mass beyond each index, the truncation, then the sum of squares
+    of the kept weights taken again."""
+    from scipy.signal import lfilter
+    if not spec.ar:
+        raw = np.asarray(spec.psi, dtype=float) if spec.psi else np.r_[1.0, spec.ma]
+        return raw / np.sqrt(np.sum(raw**2))
+    b, a = np.r_[1.0, np.asarray(spec.ma)], np.r_[1.0, -np.asarray(spec.ar)]
+    n = max(256, b.size)
+    while True:
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        psi = lfilter(b, a, impulse)
+        sq = psi**2
+        total = sq.sum()
+        tail = np.r_[np.cumsum(sq[::-1])[::-1][1:], 0.0]
+        if tail[(9 * n) // 10] < 1e-4 * signal_model._TAIL_TOL * total:
+            raw = psi[: np.nonzero(tail < signal_model._TAIL_TOL * total)[0][0] + 1]
+            return raw / np.sqrt(np.sum(raw**2))
+        n *= 2
+
+
+def random_causal_arma(rng):
+    """ARMA(<=4, <=6) spec with reciprocal AR roots of modulus at most 0.95:
+    real ones, and a complex pair in half of the specs of order 2 and up."""
+    order = int(rng.integers(1, 5))
+    roots = list(rng.uniform(-0.95, 0.95, order))
+    if order >= 2 and rng.random() < 0.5:
+        pair = rng.uniform(0.1, 0.95) * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+        roots[:2] = [pair, pair.conjugate()]
+    ar = -np.real(np.poly(roots))[1:]
+    ma = rng.uniform(-2.0, 2.0, int(rng.integers(0, 7)))
+    return SourceSpec("arma", ar=tuple(ar), ma=tuple(ma))
+
+
+def test_expansion_is_bit_equal_to_the_two_pass_reference():
+    rng = np.random.default_rng(2014)
+    specs = [s for model in BENCHMARK_MODELS.values() for s in model]
+    specs += [random_causal_arma(rng) for _ in range(50)]
+    specs += [SourceSpec("psi", psi=(3.0, 1.0, -2.0)), SourceSpec("ar", ar=(0.95,))]
+    for spec in specs:
+        np.testing.assert_array_equal(expand_to_ma(spec).psi, two_pass_expansion(spec))
 
 
 def test_expansion_matches_long_run_sample_autocovariance():
