@@ -29,7 +29,7 @@ from .joint_diag import (
     sobi_symmetric_fixedpoint,
     sobi_symmetric_jacobi,
 )
-from .metrics import amari, mdi
+from .metrics import amari, efficiency_sweep, mdi
 from .presets import BENCHMARK_MODELS, LAG_PRESETS, benchmark_model, lag_preset
 from .signal_model import (
     MAExpansion,
@@ -59,6 +59,7 @@ __all__ = [
     "autocov_set",
     "benchmark_model",
     "build_model",
+    "efficiency_sweep",
     "empirical_asv",
     "estimating_residual",
     "expand_to_ma",

@@ -9,18 +9,17 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import asymptotics, autocovariance, joint_diag, metrics, presets, signal_model
+from . import asymptotics, autocovariance, joint_diag, metrics, presets
 from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
 def _kernel_options(args, method: str) -> dict:
     """The options of ``method``'s kernel that the parsed CLI options set."""
     if method == "amuse":
-        return {"tau": getattr(args, "tau", None)}  # benchmark's amuse: the smallest lag
+        return {"tau": args.tau}
     if method == "symmetric-jacobi":
         return {"tol": args.jacobi_tol, "max_sweeps": args.max_sweeps}
     options = {"tol": args.tol, "max_iter": args.max_iter}
@@ -191,92 +190,16 @@ def cmd_asv(args) -> int:
     return 0
 
 
-# Upper bound on the reps one kernel call solves together: large enough
-# that per-call overhead on p x p matrices stops dominating, small enough
-# that the stacked lag matrices of a block stay small.
-_BLOCK_REPS = 256
-
-
-def _rep_blocks(reps: int, jobs: int) -> list[range]:
-    """Consecutive rep ranges of at most _BLOCK_REPS, at least one per job."""
-    n = min(max(-(-reps // _BLOCK_REPS), jobs), reps)
-    return [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
-
-
-def _block_lag_matrices(plan, lags, t_values, reps, seed) -> dict[int, autocovariance.AutocovSet]:
-    """Centered lag matrices of the reps' series, per T, stacked over the reps.
-
-    Rep r draws its innovations once, from ``default_rng((seed, r))``, for
-    the longest T; a shorter T reads a prefix of that draw, which is the whole
-    draw simulate_sources makes at that T.  Each rep is simulated at every T
-    into a reused buffer and reduced by autocov_set's product code into its
-    rows of the result, so every matrix equals, bit for bit, what autocov_set
-    gives on that rep's series alone.
-    """
-    t_values = sorted(set(t_values))
-    lags = autocovariance._check_lags(lags, t_values[0])
-    p, B = len(plan.components), len(reps)
-    out = {T: autocovariance.AutocovSet(np.empty((B, p, p)), np.empty((B, len(lags), p, p)), lags)
-           for T in t_values}
-    eps = np.empty(p * (plan.pre + t_values[-1]))
-    series = [np.empty((p, T)) for T in t_values]
-    for b, rep in enumerate(reps):
-        np.random.default_rng((seed, rep)).standard_normal(out=eps)
-        for z, acs in zip(series, out.values()):
-            signal_model._filter_sources(
-                plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z)
-            autocovariance._check_finite(z)
-            s = autocovariance._products(z, (0,) + lags, centered=True)
-            acs.s0[b], acs.sk[b] = s[0], s[1:]
-    return out
-
-
-def _mc_block(plan, lags, t_values, reps, methods, args) -> dict[int, dict[str, list[float]]]:
-    """T (p-1) mdi^2 of every rep in ``reps``, per T and method.
-
-    The whole block is whitened and solved at once, by each method's block
-    kernel.  Every rep gets the result that the public chain
-    simulate_sources -> autocov_set -> solver gives it alone.
-    """
-    out = {}
-    p = len(plan.components)
-    for T, acs in _block_lag_matrices(plan, lags, t_values, reps, args.seed).items():
-        W = autocovariance.whitener(acs.s0)
-        R = autocovariance.autocorrelations(acs, W)
-        # rep r's deflation restarts draw from default_rng((seed, r, 1)) at every T
-        rngs = [np.random.default_rng((args.seed, rep, 1)) for rep in reps]
-        out[T] = {}
-        for method in methods:
-            fit = joint_diag._KERNELS[method](R, acs.lags, rngs, **_kernel_options(args, method))
-            mdis = metrics.mdi(fit.u @ W)
-            # squared as Python floats: C pow, which float ** 2 calls, and
-            # numpy's square round differently in about 0.1% of values
-            out[T][method] = [T * (p - 1) * m ** 2 for m in mdis.tolist()]
-    return out
-
-
 def cmd_benchmark(args) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be at least 1")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     _check_solver_options(args)
     specs, _, _ = _load_model(args.model, args.preset)
     lags = _parse_lags(args.lags)
     t_values = [_int(t, "--T-values") for t in args.T_values.split(",")]
-    if min(t_values) < 2:
-        raise ValueError("T must be at least 2")
     methods = [m.strip() for m in args.methods.split(",")]
-    for method in methods:
-        if method not in joint_diag._KERNELS:
-            raise ValueError(
-                f"--methods: {method!r} is not one of {', '.join(joint_diag._KERNELS)}")
-    for option, values in (("--T-values", t_values), ("--methods", methods)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{option}: an entry is repeated")
-
-    expected = {}
     model = asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
+    values = metrics.efficiency_sweep(specs, lags, t_values, methods, args.reps, args.seed,
+                                      args.jobs, {m: _kernel_options(args, m) for m in methods})
+    expected = {}
     for method in methods:
         try:
             expected[method] = asymptotics.global_criterion(asymptotics.asv(model, method))
@@ -284,19 +207,10 @@ def cmd_benchmark(args) -> int:
             print(f"warning: {method}: no exact ASV ({exc})", file=sys.stderr)
             expected[method] = float("nan")
 
-    plan = signal_model._plan_sources(specs)
-    tasks = [(plan, lags, t_values, reps, methods, args)
-             for reps in _rep_blocks(args.reps, args.jobs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-            parts = list(ex.map(_mc_block, *zip(*tasks)))
-    else:
-        parts = [_mc_block(*task) for task in tasks]
-
     lines = ["T,method,reps,average,expected"]
     for T in t_values:
         for method in methods:
-            avg = float(np.mean([v for part in parts for v in part[T][method]]))
+            avg = float(np.mean(values[T][method]))
             lines.append(f"{T},{method},{args.reps},{avg:.17g},{expected[method]:.17g}")
             print(lines[-1])
     if args.output:
@@ -421,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1)
     _add_solver_options(sp)
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_benchmark)
+    sp.set_defaults(func=cmd_benchmark, tau=None)  # amuse diagonalizes the smallest lag
 
     sp = sub.add_parser("lagselect", help="rank candidate lag sets")
     sp.add_argument("--data", required=True)

@@ -15,9 +15,16 @@ from sobikit.asymptotics import (
     transform_general_mixing,
 )
 from sobikit.autocovariance import _check_lags, autocov_set
-from sobikit.joint_diag import sobi_symmetric_jacobi
+from sobikit.joint_diag import (
+    amuse,
+    sobi_deflation,
+    sobi_symmetric_fixedpoint,
+    sobi_symmetric_jacobi,
+)
 from sobikit.presets import benchmark_model, lag_preset
 from sobikit.signal_model import SourceSpec, expand_to_ma, simulate_sources
+
+from delta_oracle import delta_asv
 
 LAGS = tuple(range(1, 11))
 
@@ -391,6 +398,32 @@ def test_one_lag_tables_agree_and_are_amuse_tables():
             np.testing.assert_array_equal(asv(model, "amuse").per_element, sym)
     with pytest.raises(ValueError, match="tau"):
         asv(build_model(sorted_expansions("c"), (1, 2)), "amuse")
+
+
+# each fit at a tolerance tight enough for a central difference at 1e-5
+ORACLE_FITS = {
+    "deflation": lambda acs: sobi_deflation(acs, tol=1e-14, max_iter=20000),
+    "symmetric-jacobi": lambda acs: sobi_symmetric_jacobi(acs, tol=1e-14),
+    "symmetric-fixedpoint": lambda acs: sobi_symmetric_fixedpoint(acs, tol=1e-14,
+                                                                  max_iter=20000),
+    "amuse": amuse,
+}
+
+
+def test_asv_tables_are_the_delta_method_of_the_fits():
+    # the limit law of each fit itself, from its Jacobian and model.d alone,
+    # shares no formula with the tables.  Model (b) has no one-lag AMUSE
+    # table (two of its lambda_1 are 0), and the fixed point stops short of
+    # the maximum on its lag-1 start, a point the polar step leaves fixed
+    cases = [(name, method) for name in "abcd" for method in ("deflation", "symmetric-jacobi")]
+    cases += [(name, method) for name in "acd" for method in ("symmetric-fixedpoint", "amuse")]
+    worst = {}
+    for name, method in cases:
+        lags = (1,) if method == "amuse" else LAGS
+        model = build_model([expand_to_ma(s) for s in benchmark_model(name)], lags)
+        exact = asv(model, method).per_element
+        worst[name, method] = np.max(np.abs(delta_asv(model, ORACLE_FITS[method]) - exact) / exact)
+    assert max(worst.values()) < 1e-7, worst
 
 
 def test_single_component_table():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sobikit
-from sobikit import asymptotics, cli
+from sobikit import asymptotics, cli, metrics
 from sobikit.asymptotics import asv, global_criterion
 from sobikit.autocovariance import AutocovSet, autocorrelations, autocov_set, whitener
 from sobikit.cli import _parse_lags, _read_series, main
@@ -456,7 +456,7 @@ def test_benchmark_amuse_average_meets_its_exact_limit(preset):
     specs = benchmark_model(preset)
     args = cli.build_parser().parse_args(["benchmark", "--preset", preset, "--lags", "1",
                                           "--T-values", "4000"])
-    vals = cli._mc_block(_plan_sources(specs), (1,), [4000], range(1000), ["amuse"], args)
+    vals = metrics.efficiency_sweep(specs, (1,), [4000], ["amuse"], 1000, seed=args.seed)
     vals = np.asarray(vals[4000]["amuse"])
     exact = global_criterion(asv(asymptotics.build_model([expand_to_ma(s) for s in specs],
                                                          (1,)), "amuse"))
@@ -592,7 +592,7 @@ def test_block_lag_matrices_match_the_public_chain(cuts):
              SourceSpec("psi", psi=(1.0, 0.0, 0.4))]
     seed, t_values, lags, reps = 8, (300, 120, 500), (1, 2, 5, 9), range(3, 23)
     bounds = (0, *cuts, len(reps))
-    parts = [cli._block_lag_matrices(_plan_sources(specs), lags, t_values, reps[lo:hi], seed)
+    parts = [metrics._block_lag_matrices(_plan_sources(specs), lags, t_values, reps[lo:hi], seed)
              for lo, hi in zip(bounds, bounds[1:])]
     assert all(sorted(part) == sorted(t_values) for part in parts)
     for T in t_values:
@@ -620,7 +620,7 @@ def test_benchmark_rows_do_not_depend_on_the_other_t_values(monkeypatch, capsys,
     rows = {}
     assert main(argv + ["--T-values", "300"]) == 0
     rows["one range"] = capsys.readouterr().out.strip().splitlines()
-    monkeypatch.setattr(cli, "_BLOCK_REPS", block_reps)
+    monkeypatch.setattr(metrics, "_BLOCK_REPS", block_reps)
     for t_values in ("300,1000", "1000,300", "300", "1000"):
         assert main(argv + ["--T-values", t_values]) == 0
         rows[t_values] = capsys.readouterr().out.strip().splitlines()

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from sobikit.asymptotics import asv, build_model, global_criterion
 from scipy.optimize import linear_sum_assignment
 
-from sobikit.metrics import amari, mdi
+from sobikit.autocovariance import autocov_set
+from sobikit.joint_diag import amuse, sobi_deflation
+from sobikit.metrics import amari, efficiency_sweep, mdi
 from sobikit.presets import benchmark_model
-from sobikit.signal_model import expand_to_ma
+from sobikit.signal_model import expand_to_ma, simulate_sources
 
 
 def brute_force_mdi(g):
@@ -154,3 +156,40 @@ def test_expected_limit_of_model_c_symmetric():
     exps = [expand_to_ma(s) for s in benchmark_model("c")]
     model = build_model(exps, range(1, 11))
     assert abs(global_criterion(asv(model, "symmetric")) - 9.4) < 0.05
+
+
+def test_efficiency_sweep_follows_the_public_chain():
+    # per-method options reach their kernel; 5 reps at jobs 2 are two blocks
+    specs, lags, seed = benchmark_model("d"), (2, 1, 3), 9
+    out = efficiency_sweep(specs, lags, [250, 150], ["deflation", "amuse"], 5, seed=seed,
+                           jobs=2, options={"deflation": {"restarts": 2}, "amuse": {"tau": 3}})
+    assert list(out) == [250, 150] and all(list(row) == ["deflation", "amuse"]
+                                           for row in out.values())
+    for T, row in out.items():
+        for rep in range(5):
+            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
+            fits = {"deflation": sobi_deflation(acs, restarts=2, seed=(seed, rep, 1)),
+                    "amuse": amuse(acs, 3)}
+            for method, fit in fits.items():
+                assert row[method][rep] == T * 2 * mdi(fit.gamma) ** 2
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"reps": 0}, "reps must be at least 1"),
+    ({"jobs": 0}, "jobs must be at least 1"),
+    ({"t_values": [300, 1]}, "T must be at least 2"),
+    ({"t_values": [300, 200, 300]}, "t_values: an entry is repeated"),
+    ({"methods": ["amuse", "sobi"]}, "methods: 'sobi' is not one of amuse, deflation, "
+                                     "symmetric-fixedpoint, symmetric-jacobi"),
+    ({"methods": ["amuse", "amuse"]}, "methods: an entry is repeated"),
+    ({"t_values": [300, 12], "lags": range(1, 12)}, "lag out of range"),
+])
+def test_efficiency_sweep_refuses_before_any_draw(monkeypatch, change, message):
+    drawn = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: drawn.append(a))
+    call = dict(specs=benchmark_model("a"), lags=range(1, 4), t_values=[300],
+                methods=["amuse"], reps=2) | change
+    with pytest.raises(ValueError) as info:
+        efficiency_sweep(**call)
+    assert str(info.value) == message
+    assert drawn == []
