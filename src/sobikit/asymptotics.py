@@ -19,7 +19,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .autocovariance import _as_series, _check_lags
-from .joint_diag import UnmixingResult
+from .joint_diag import _KERNELS, UnmixingResult
 from .signal_model import MAExpansion
 
 __all__ = [
@@ -36,17 +36,6 @@ _IDENT_TOL = 1e-12
 # Largest D tensor, (K + 1)^2 p^2 doubles, that _d_tensor builds; its
 # temporaries are as large again.
 _D_MAX_BYTES = 256 << 20
-
-# method of a fit (each name in joint_diag._KERNELS) or a formula name -> its ASV formulas.
-# AMUSE is SOBI on its one lag, where both tables agree; the symmetric one
-# needs AMUSE's lambda_i != lambda_j, the deflation one lambda_i^2 != lambda_j^2.
-_FORMULAS = {
-    "amuse": "symmetric",
-    "deflation": "deflation",
-    "symmetric": "symmetric",
-    "symmetric-fixedpoint": "symmetric",
-    "symmetric-jacobi": "symmetric",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,12 +248,14 @@ def _asv_table(lam: np.ndarray, d: np.ndarray, method: str) -> ASVTable:
 
 
 def _formulas(method: str, lags: tuple[int, ...]) -> str:
-    """The formulas (``_FORMULAS``) that give the ASV of ``method`` on ``lags``."""
-    if method not in _FORMULAS:
+    """The formulas of ``method``, a ``_KERNELS`` name or "symmetric", on ``lags``: deflation's
+    or the symmetric ones.  AMUSE is SOBI on its one lag, where both agree; the symmetric
+    table needs AMUSE's lambda_i != lambda_j, the deflation one lambda_i^2 != lambda_j^2."""
+    if method not in _KERNELS and method != "symmetric":
         raise ValueError(f"no ASV for method {method!r}")
     if method == "amuse" and len(lags) != 1:
         raise ValueError(f"no ASV for amuse on {len(lags)} lags: it has one lag, tau")
-    return _FORMULAS[method]
+    return "deflation" if method == "deflation" else "symmetric"
 
 
 def asv(model: AsymptoticModel, method: str) -> ASVTable:

@@ -17,15 +17,10 @@ from .autocovariance import autocov_set
 from .signal_model import MixingModel, SourceSpec, expand_to_ma, mix, simulate_sources
 
 def _kernel_options(args, method: str) -> dict:
-    """The options of ``method``'s kernel that the parsed CLI options set."""
-    if method == "amuse":
-        return {"tau": args.tau}
-    if method == "symmetric-jacobi":
-        return {"tol": args.jacobi_tol, "max_sweeps": args.max_sweeps}
-    options = {"tol": args.tol, "max_iter": args.max_iter}
-    if method == "deflation":
-        options["restarts"] = args.restarts
-    return options
+    """The options of ``method``'s kernel that the parsed CLI options set; an
+    option left unset keeps the kernel's default."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    return {name: given[name] for name in joint_diag._options(method) if name in given}
 
 
 def _fit(acs, method: str, args) -> joint_diag.UnmixingResult:
@@ -197,8 +192,10 @@ def cmd_benchmark(args) -> int:
     t_values = [_int(t, "--T-values") for t in args.T_values.split(",")]
     methods = [m.strip() for m in args.methods.split(",")]
     model = asymptotics.build_model([expand_to_ma(s) for s in specs], lags)
+    # an unknown method is left to the sweep, which refuses it
+    options = {m: _kernel_options(args, m) for m in methods if m in joint_diag._KERNELS}
     values = metrics.efficiency_sweep(specs, lags, t_values, methods, args.reps, args.seed,
-                                      args.jobs, {m: _kernel_options(args, m) for m in methods})
+                                      args.jobs, options)
     expected = {}
     for method in methods:
         try:
@@ -256,23 +253,21 @@ def cmd_lagselect(args) -> int:
 
 
 def _add_solver_options(sp):
-    """The iteration controls that separate, lagselect and benchmark share."""
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=1000)
-    sp.add_argument("--restarts", type=int, default=5)
-    sp.add_argument("--jacobi-tol", type=float, default=1e-12)
-    sp.add_argument("--max-sweeps", type=int, default=100)
+    """The iteration controls that separate, lagselect and benchmark share; each
+    feeds every chosen kernel that takes it, and unset keeps the kernel's default."""
+    sp.add_argument("--tol", type=float)
+    sp.add_argument("--max-iter", type=int)
+    sp.add_argument("--restarts", type=int)
 
 
 def _check_solver_options(args):
-    if args.max_iter < 1:
+    """Refuse a set iteration control out of range, whichever methods read it."""
+    if args.max_iter is not None and args.max_iter < 1:
         raise ValueError("--max-iter must be at least 1")
-    if args.max_sweeps < 1:
-        raise ValueError("--max-sweeps must be at least 1")
-    if args.restarts < 0:
+    if args.restarts is not None and args.restarts < 0:
         raise ValueError("--restarts must be non-negative")
-    if not args.tol > 0 or not args.jacobi_tol > 0:
-        raise ValueError("--tol and --jacobi-tol must be positive")
+    if args.tol is not None and not args.tol > 0:
+        raise ValueError("--tol must be positive")
 
 
 def _add_fit_options(sp):
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1)
     _add_solver_options(sp)
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_benchmark, tau=None)  # amuse diagonalizes the smallest lag
+    sp.set_defaults(func=cmd_benchmark)
 
     sp = sub.add_parser("lagselect", help="rank candidate lag sets")
     sp.add_argument("--data", required=True)

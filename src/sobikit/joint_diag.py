@@ -10,6 +10,8 @@ row sums to a non-negative value.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import warnings as _warnings
 from typing import NamedTuple
 
@@ -318,24 +320,24 @@ def fixedpoint_block(
 def sobi_symmetric_jacobi(
     acs: AutocovSet,
     tol: float = 1e-12,
-    max_sweeps: int = 100,
+    max_iter: int = 100,
 ) -> UnmixingResult:
     """Symmetric SOBI by cyclic Jacobi rotations.
 
     Each pair (i, j) is rotated by the closed-form angle maximizing the
     summed squared diagonals of the rotated matrices; sweeps stop when the
-    largest |sin(angle)| falls below ``tol``.
+    largest |sin(angle)| falls below ``tol``, after at most ``max_iter`` sweeps.
     """
-    return _unmix(acs, "symmetric-jacobi", tol=tol, max_sweeps=max_sweeps)
+    return _unmix(acs, "symmetric-jacobi", tol=tol, max_iter=max_iter)
 
 
-def jacobi_block(R: np.ndarray, lags, rngs, tol: float = 1e-12, max_sweeps: int = 100) -> BlockFit:
+def jacobi_block(R: np.ndarray, lags, rngs, tol: float = 1e-12, max_iter: int = 100) -> BlockFit:
     """Cyclic Jacobi sweeps on B whitened lag stacks R of shape (B, K, p, p).
 
     ``lags`` and ``rngs`` are not read.  All live problems rotate together,
     pair by pair; a pair whose angle has sin = 0 is not rotated.  A problem leaves after the first sweep whose
-    largest |sin(angle)| is below ``tol`` (converged); ``iterations``
-    counts the sweeps before it.  Each problem's result does not depend on
+    largest |sin(angle)| is below ``tol`` (converged), or after ``max_iter``
+    sweeps; ``iterations`` counts the sweeps before it.  Each problem's result does not depend on
     the block it is solved in.
     """
     B, _, p, _ = R.shape
@@ -364,7 +366,7 @@ def jacobi_block(R: np.ndarray, lags, rngs, tol: float = 1e-12, max_sweeps: int 
         return (U, A), done, done
 
     U, stops, converged = _iterate(
-        sweep, (np.repeat(np.eye(p)[None], B, axis=0), R.copy()), max_sweeps)
+        sweep, (np.repeat(np.eye(p)[None], B, axis=0), R.copy()), max_iter)
     return _finish(U, R, stops - converged, converged)
 
 
@@ -377,6 +379,13 @@ _KERNELS = {
     "symmetric-fixedpoint": fixedpoint_block,
     "symmetric-jacobi": jacobi_block,
 }
+
+
+# cached: building a signature takes about 13 us (2-CPU host), and lagselect asks once per fit
+@functools.cache
+def _options(method: str) -> tuple[str, ...]:
+    """The options of ``method``'s kernel: its signature names them and holds their defaults."""
+    return tuple(inspect.signature(_KERNELS[method]).parameters)[3:]
 
 
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:

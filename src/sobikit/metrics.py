@@ -97,13 +97,15 @@ def efficiency_sweep(specs, lags, t_values, methods, reps: int, seed=0, jobs: in
     sources ``specs``, as ``{T: {method: (reps,)}}``; every ValueError comes
     before any draw.  Rep r is, bit for bit, the public chain at each T:
     ``simulate_sources(specs, T, (seed, r))``, ``autocov_set(..., lags,
-    centered=True)`` and ``method``'s fit with ``options[method]`` (default
-    none), whose deflation restarts draw from ``default_rng((seed, r, 1))``.
+    centered=True)`` and ``method``'s fit with ``options[method]`` (one not given
+    keeps the kernel's default), deflation's restarts from ``default_rng((seed, r, 1))``.
     Blocks of at most _BLOCK_REPS reps, at least one per job, are solved
     together, in at most ``jobs`` processes; no value depends on the blocks."""
     for name, count in (("reps", reps), ("jobs", jobs)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
+    if not t_values:
+        raise ValueError("t_values: the list is empty")
     if min(t_values) < 2:
         raise ValueError("T must be at least 2")
     for method in methods:
@@ -112,11 +114,20 @@ def efficiency_sweep(specs, lags, t_values, methods, reps: int, seed=0, jobs: in
     for name, values in (("t_values", t_values), ("methods", methods)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name}: an entry is repeated")
+    options = options or {}
+    for method, given in options.items():
+        if method not in methods:
+            raise ValueError(f"options: {method!r} names no method in methods")
+        unknown = [name for name in given if name not in joint_diag._options(method)]
+        if unknown:
+            raise ValueError(f"options: {method} takes no {unknown[0]!r}")
     lags = autocovariance._check_lags(lags, min(t_values))
+    if not lags:
+        raise ValueError("nothing to diagonalize: the lag set is empty")
     n = min(max(-(-reps // _BLOCK_REPS), jobs), reps)
     blocks = [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
     solve = functools.partial(_mc_block, signal_model._plan_sources(specs), lags, t_values,
-                              methods, seed, options or {})
+                              methods, seed, options)
     if min(jobs, n) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as ex:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,23 @@ def test_ab_inprocess_a_a_run_is_correct_on_both_sides():
         assert all(t > 0 for t in times["runs"])
     assert {"median", "q1", "q3"} <= record["ratio"].keys() and len(record["ratio"]["runs"]) == 2
     assert 0 <= record["change_won"] <= 2
+
+
+_PARITY_PATH = _PATH.parent / "cli_parity.py"
+_PARITY_SPEC = importlib.util.spec_from_file_location("cli_parity", _PARITY_PATH)
+cli_parity = importlib.util.module_from_spec(_PARITY_SPEC)
+_PARITY_SPEC.loader.exec_module(cli_parity)
+
+
+def test_cli_parity_a_a_run_is_the_same_and_a_changed_tree_is_named(tmp_path):
+    named = {"asv:a": ["asv", "--preset", "a", "--lags", "1-3"],
+             "asv:d": ["asv", "--preset", "d", "--lags", "1-3", "--output", "t.csv"]}
+    root = cli_parity.ROOT
+    assert cli_parity.compare({"parent": root, "change": root}, named, tmp_path / "aa") == {}
+    # a copy whose asv prints one digit fewer differs in what it prints and writes
+    changed = tmp_path / "changed"
+    shutil.copytree(root / "src" / "sobikit", changed / "src" / "sobikit")
+    cli = changed / "src" / "sobikit" / "cli.py"
+    cli.write_text(cli.read_text().replace("{crit:.17g}", "{crit:.16g}"))
+    assert cli_parity.compare({"parent": root, "change": changed}, {"asv:d": named["asv:d"]},
+                              tmp_path / "ab") == {"asv:d": ["stdout", "files"]}

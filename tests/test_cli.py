@@ -383,9 +383,8 @@ def test_benchmark_deterministic_and_jobs_invariant(tmp_path, capsys):
         assert capsys.readouterr().out == first
 
 
-SOLVER_OPTIONS_OUT_OF_RANGE = [("--max-iter", "0"), ("--max-sweeps", "0"),
-                               ("--restarts", "-2"), ("--tol", "0"),
-                               ("--jacobi-tol=-1e-12",), ("--tol", "nan")]
+SOLVER_OPTIONS_OUT_OF_RANGE = [("--max-iter", "0"), ("--restarts", "-2"), ("--tol", "0"),
+                               ("--tol", "nan")]
 
 
 @pytest.mark.parametrize("option", [("--reps", "0"), ("--jobs", "0"),
@@ -495,6 +494,50 @@ def test_separate_rejects_solver_options_out_of_range(dataset, tmp_path, option,
     assert captured.err.startswith("error:")
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "sep.json").exists()
+
+
+@pytest.mark.parametrize("option", SOLVER_OPTIONS_OUT_OF_RANGE)
+def test_lagselect_rejects_solver_options_no_method_reads(dataset, option, capsys):
+    # amuse takes none of the iteration controls, and a bad one is still refused
+    assert main(["lagselect", "--data", dataset, "--lag-sets", "1;2",
+                 "--method", "amuse", *option]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_separate_max_iter_reaches_jacobi(tmp_path, capsys):
+    # the series of test_jacobi_reports_sweep_exhaustion, fit by the default method
+    data = str(tmp_path / "c.csv")
+    assert main(["simulate", "--preset", "c", "--T", "800", "--seed", "35",
+                 "--output", data]) == 0
+    assert main(["separate", "--data", data, "--lags", "1-10", "--max-iter", "1",
+                 "--output", str(tmp_path / "sep")]) == 0
+    assert capsys.readouterr().out.startswith("symmetric-jacobi: converged=False ")
+    report = json.loads((tmp_path / "sep.json").read_text())
+    assert (report["converged"], report["iterations"]) == (False, 1)
+
+
+def test_benchmark_solver_flags_reach_every_method_that_takes_them(capsys):
+    methods = ["deflation", "symmetric-jacobi"]
+    assert main(["benchmark", "--preset", "d", "--lags", "1-10", "--reps", "3",
+                 "--T-values", "300", "--methods", ",".join(methods),
+                 "--tol", "1e-8", "--max-iter", "50"]) == 0
+    printed = {line.split(",")[1]: float(line.split(",")[3])
+               for line in capsys.readouterr().out.strip().splitlines()}
+    vals = metrics.efficiency_sweep(benchmark_model("d"), range(1, 11), [300], methods, 3,
+                                    options={m: {"tol": 1e-8, "max_iter": 50} for m in methods})
+    assert printed == {m: float(np.mean(v)) for m, v in vals[300].items()}
+
+
+@pytest.mark.parametrize("flag", ["--jacobi-tol=1e-12", "--max-sweeps=100"])
+@pytest.mark.parametrize("command", ["separate", "lagselect", "benchmark"])
+def test_removed_jacobi_flags_are_unknown(dataset, tmp_path, command, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(lag_argv(command, "1-10", dataset, tmp_path) + [flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 def lag_argv(command, lags, dataset, tmp_path):

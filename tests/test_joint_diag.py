@@ -166,7 +166,7 @@ def test_fixedpoint_and_jacobi_agree():
 def test_jacobi_criterion_monotone_over_sweeps():
     z = simulate_sources(benchmark_model("c"), T=1500, seed=30)
     acs = autocov_set(z, range(1, 11), centered=True)
-    objectives = [sobi_symmetric_jacobi(acs, max_sweeps=s).objective
+    objectives = [sobi_symmetric_jacobi(acs, max_iter=s).objective
                   for s in range(1, 7)]
     diffs = np.diff(objectives)
     assert np.all(diffs >= -1e-10)
@@ -304,7 +304,7 @@ def test_deflation_zero_restarts_means_one():
 def test_jacobi_reports_sweep_exhaustion():
     z = simulate_sources(benchmark_model("c"), T=800, seed=35)
     acs = autocov_set(z, range(1, 11), centered=True)
-    res = sobi_symmetric_jacobi(acs, max_sweeps=1)
+    res = sobi_symmetric_jacobi(acs, max_iter=1)
     assert not res.converged and res.iterations == 1
 
 
@@ -330,7 +330,7 @@ def test_deflation_block_matches_each_problem_alone(options):
 
 @pytest.mark.parametrize("kernel,options", [
     pytest.param(jacobi_block, {}, id="options0"),
-    pytest.param(jacobi_block, {"max_sweeps": 2}, id="options1"),
+    pytest.param(jacobi_block, {"max_iter": 2}, id="options1"),
     pytest.param(fixedpoint_block, {}, id="fixedpoint-options0"),
     pytest.param(fixedpoint_block, {"max_iter": 3}, id="fixedpoint-options1")])
 def test_jacobi_block_matches_each_problem_alone(kernel, options):

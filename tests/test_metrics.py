@@ -183,6 +183,11 @@ def test_efficiency_sweep_follows_the_public_chain():
                                      "symmetric-fixedpoint, symmetric-jacobi"),
     ({"methods": ["amuse", "amuse"]}, "methods: an entry is repeated"),
     ({"t_values": [300, 12], "lags": range(1, 12)}, "lag out of range"),
+    ({"lags": []}, "nothing to diagonalize: the lag set is empty"),
+    ({"t_values": []}, "t_values: the list is empty"),
+    ({"options": {"deflation": {}}}, "options: 'deflation' names no method in methods"),
+    ({"methods": ["symmetric-jacobi"], "options": {"symmetric-jacobi": {"max_sweeps": 3}}},
+     "options: symmetric-jacobi takes no 'max_sweeps'"),
 ])
 def test_efficiency_sweep_refuses_before_any_draw(monkeypatch, change, message):
     drawn = []
