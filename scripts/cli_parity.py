@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/cli_parity.py --parent HEAD
-    python3 scripts/cli_parity.py --parent HEAD --case 'separate:*' \
+    python3 scripts/cli_parity.py --parent HEAD \
         --args='--tol 1e-8 --max-iter 3' --parent-args='--tol 1e-8 --max-iter 3 ...'
 
 The parent is ``git archive`` of the given revision (``bench_record.export``)
@@ -19,16 +19,14 @@ run writes are compared.  The script names each case that differs and exits
 The cases: ``benchmark`` on the perfbench mc_sweep argv at each of
 ``--mc-seeds`` under ``--jobs`` 1, 2 and 3; the 12 asv_tables argvs;
 ``lagselect`` and ``separate --omega`` with each method; and a four-method
-``benchmark``.  ``--case`` keeps the cases whose name matches one of its
-patterns (``fnmatch``).  ``--args`` and ``--parent-args`` are appended to the
-argv of every separate, lagselect and benchmark case on the change's side
-and on the parent's side: they check a flag against the one it replaces.
+``benchmark``.  ``--args`` and ``--parent-args`` are appended to the argv
+of every separate, lagselect and benchmark case on the change's side and on
+the parent's side: they check a flag against the one it replaces.
 """
 
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import importlib.util
 import os
 import shlex
@@ -118,7 +116,6 @@ def compare(trees: dict[str, Path], named: dict[str, list[str]], work: Path,
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
-    ap.add_argument("--case", action="append", help="fnmatch pattern of the cases to run")
     ap.add_argument("--mc-seeds", default="5,41", help="program seeds of the mc_sweep cases")
     ap.add_argument("--args", default="", help="appended to the change's fitting commands")
     ap.add_argument("--parent-args", default="",
@@ -135,9 +132,6 @@ def main(argv=None) -> int:
         trees = {"parent": bench_record.export(args.parent, tmp / "parent"), "change": ROOT}
         named = cases(write_inputs(tmp / "inputs"),
                       [int(s) for s in args.mc_seeds.split(",")])
-        if args.case:
-            named = {n: a for n, a in named.items()
-                     if any(fnmatch.fnmatchcase(n, pat) for pat in args.case)}
         diffs = compare(trees, named, tmp / "runs",
                         {"parent": shlex.split(args.parent_args),
                          "change": shlex.split(args.args)})

@@ -10,8 +10,6 @@ row sums to a non-negative value.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
 import warnings as _warnings
 from typing import NamedTuple
 
@@ -381,11 +379,10 @@ _KERNELS = {
 }
 
 
-# cached: building a signature takes about 13 us (2-CPU host), and lagselect asks once per fit
-@functools.cache
 def _options(method: str) -> tuple[str, ...]:
-    """The options of ``method``'s kernel: its signature names them and holds their defaults."""
-    return tuple(inspect.signature(_KERNELS[method]).parameters)[3:]
+    """The options of ``method``'s kernel: its parameters after (R, lags, rngs)."""
+    code = _KERNELS[method].__code__
+    return code.co_varnames[3:code.co_argcount]
 
 
 def estimating_residual(result: UnmixingResult, acs: AutocovSet) -> float:

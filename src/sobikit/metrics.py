@@ -104,30 +104,29 @@ def efficiency_sweep(specs, lags, t_values, methods, reps: int, seed=0, jobs: in
     for name, count in (("reps", reps), ("jobs", jobs)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
-    if not t_values:
-        raise ValueError("t_values: the list is empty")
+    for name, values in (("t_values", t_values), ("methods", methods)):
+        if len(values) == 0:
+            raise ValueError(f"{name}: the list is empty")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name}: an entry is repeated")
     if min(t_values) < 2:
         raise ValueError("T must be at least 2")
     for method in methods:
         if method not in joint_diag._KERNELS:
             raise ValueError(f"methods: {method!r} is not one of {', '.join(joint_diag._KERNELS)}")
-    for name, values in (("t_values", t_values), ("methods", methods)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"{name}: an entry is repeated")
-    options = options or {}
-    for method, given in options.items():
+    for method, given in (options or {}).items():
         if method not in methods:
             raise ValueError(f"options: {method!r} names no method in methods")
-        unknown = [name for name in given if name not in joint_diag._options(method)]
-        if unknown:
-            raise ValueError(f"options: {method} takes no {unknown[0]!r}")
+        for name in given:
+            if name not in joint_diag._options(method):
+                raise ValueError(f"options: {method} takes no {name!r}")
     lags = autocovariance._check_lags(lags, min(t_values))
     if not lags:
         raise ValueError("nothing to diagonalize: the lag set is empty")
     n = min(max(-(-reps // _BLOCK_REPS), jobs), reps)
     blocks = [range(reps * k // n, reps * (k + 1) // n) for k in range(n)]
     solve = functools.partial(_mc_block, signal_model._plan_sources(specs), lags, t_values,
-                              methods, seed, options)
+                              methods, seed, options or {})
     if min(jobs, n) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, n)) as ex:

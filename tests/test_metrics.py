@@ -188,6 +188,7 @@ def test_efficiency_sweep_follows_the_public_chain():
     ({"options": {"deflation": {}}}, "options: 'deflation' names no method in methods"),
     ({"methods": ["symmetric-jacobi"], "options": {"symmetric-jacobi": {"max_sweeps": 3}}},
      "options: symmetric-jacobi takes no 'max_sweeps'"),
+    ({"methods": []}, "methods: the list is empty"),
 ])
 def test_efficiency_sweep_refuses_before_any_draw(monkeypatch, change, message):
     drawn = []
