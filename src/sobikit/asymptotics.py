@@ -16,7 +16,6 @@ import dataclasses
 from typing import Sequence
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .autocovariance import _as_series, _check_lags
 from .joint_diag import _KERNELS, UnmixingResult
@@ -172,6 +171,18 @@ def build_model(
                            order=tuple(order.tolist()))
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the real FFT length scipy.fft.next_fast_len picks."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < n:
+        p35 = p5
+        while p35 < n:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        best, p5 = min(best, p35), p5 * 5
+    return min(best, p5)
+
+
 def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     """The normal-innovation D_lm over (0,) + lags.
 
@@ -185,7 +196,7 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     c_ij = c_ji and c(s) = 0 for s >= L.  D reads c at shifts up to
     S = min(2 max(lags), L), and shift L is one zeroed column (c(L) = 0 but
     for FFT rounding).  One inverse real FFT of conj(X_i) X_j, X the real
-    FFTs zero-padded to a period of next_fast_len(L + min(S, L - 1)), gives
+    FFTs zero-padded to a period of _fast_len(L + min(S, L - 1)), gives
     c_ij at every shift read below L clear of the circular wrap, exact up to
     FFT rounding of about 1e-16 max|D|, so the cost is O(p^2 (L + S)
     log(L + S) + K^2 p^2), whatever the lags.  Off-diagonal entries are
@@ -198,12 +209,12 @@ def _d_tensor(seqs: np.ndarray, lags) -> np.ndarray:
     lags = np.array((0, *lags))
     diag_seqs = np.concatenate([seqs[:, :0:-1], seqs], axis=1)
     p, size, L = len(seqs), lags.size, diag_seqs.shape[1]
-    nfft = sp_fft.next_fast_len(L + min(2 * int(lags.max()), L - 1), real=True)
-    spec = sp_fft.rfft(diag_seqs, nfft)
+    nfft = _fast_len(L + min(2 * int(lags.max()), L - 1))
+    spec = np.fft.rfft(diag_seqs, nfft)
     near, far = abs(lags[:, None] - lags), lags[:, None] + lags
     d = np.empty((p, p, size, size))  # (i, j, a, b): one C-contiguous block per pair
     for i in range(p):  # row i against every j >= i holds O(p nfft) at a time
-        r = sp_fft.irfft(spec[i].conj() * spec[i:], nfft)[:, : L + 1]
+        r = np.fft.irfft(spec[i].conj() * spec[i:], nfft)[:, : L + 1]
         r[1:] *= 0.5  # j > i: off-diagonal entries carry c / 2
         r[:, L] = 0.0  # mode="clip" reads every shift past L here
         d[i, i:] = r.take(near, axis=1, mode="clip") + r.take(far, axis=1, mode="clip")
@@ -359,13 +370,13 @@ def empirical_asv(
         raise ValueError("horizon too small")
 
     # one row at a time: a (p, nfft) transform would raise the peak memory
-    nfft = sp_fft.next_fast_len(T + kmax, real=True)
+    nfft = _fast_len(T + kmax)
     acov = np.empty((p, kmax + 1))
     with np.errstate(over="ignore", invalid="ignore"):
         z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
         for i in range(p):
-            spec = sp_fft.rfft(z[i], nfft)
-            acov[i] = sp_fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
+            spec = np.fft.rfft(z[i], nfft)
+            acov[i] = np.fft.irfft(spec.real**2 + spec.imag**2, nfft)[: kmax + 1]
     if not np.all(np.isfinite(acov)):
         raise ValueError("series values too large: their autocovariances overflow")
     var = acov[:, :1] / T

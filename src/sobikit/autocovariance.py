@@ -46,16 +46,15 @@ def _check_finite(x: np.ndarray):
         raise ValueError("series contains non-finite values")
 
 
-def _products(x: np.ndarray, lags: Sequence[int], centered: bool) -> np.ndarray:
+def _products(x: np.ndarray, lags: Sequence[int]) -> np.ndarray:
     """The stack of S_k, k in ``lags`` with 0 first, of validated series x (p, T), by
     one matrix product per lag and one symmetrization over the lag axis; ValueError,
-    with no numpy warning, where one of them leaves the float range.  ``centered``
-    centres x in place: a copy per Monte Carlo replicate costs time."""
+    with no numpy warning, where one of them leaves the float range.  x is centred
+    in place: a copy per Monte Carlo replicate costs time."""
     T = x.shape[1]
     out = np.empty((len(lags), x.shape[0], x.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        if centered:
-            x -= x.mean(axis=1, keepdims=True)
+        x -= x.mean(axis=1, keepdims=True)
         out[0] = x @ x.T / T
         for a, k in enumerate(lags[1:], start=1):
             out[a] = x[:, : T - k] @ x[:, k:].T
@@ -79,13 +78,12 @@ def _check_lags(lags: Sequence[int], T: int | None = None) -> tuple[int, ...]:
     return lags
 
 
-def autocov_set(x, lags: Sequence[int], centered: bool = False) -> AutocovSet:
-    """Assemble S_0 together with S_k for each requested positive lag; with
-    ``centered`` the sample mean over all T columns is removed first.  The
-    matrices do not depend on the memory layout of ``x`` (``_as_series``)."""
+def autocov_set(x, lags: Sequence[int]) -> AutocovSet:
+    """S_0 and S_k at each requested positive lag of x less its mean over all T
+    columns; x is left as it is, and no matrix depends on its memory layout."""
     x = _as_series(x)
     lags = _check_lags(lags, x.shape[1])
-    s = _products(x.copy() if centered else x, (0,) + lags, centered)
+    s = _products(x.copy(), (0,) + lags)
     return AutocovSet(s0=s[0], sk=s[1:], lags=lags)
 
 

@@ -139,8 +139,8 @@ def cmd_separate(args) -> int:
         if omega.shape != (p, p):
             raise ValueError(f"{args.omega}: the mixing matrix must be {p} x {p}, "
                              f"not {omega.shape[0]} x {omega.shape[1]}")
-    result = _fit(autocov_set(x, lags, centered=not args.no_center), args.method, args)
-    z = result.gamma @ (x if args.no_center else x - x.mean(axis=1, keepdims=True))
+    result = _fit(autocov_set(x, lags), args.method, args)
+    z = result.gamma @ (x - x.mean(axis=1, keepdims=True))
     report = {
         "gamma": result.gamma.tolist(),
         "method": result.method,
@@ -231,7 +231,7 @@ def cmd_lagselect(args) -> int:
     lag_sets = [autocovariance._check_lags(lags, x.shape[1]) for lags in lag_sets]
     # one autocov_set over the union of the sets' lags serves every fit:
     # each set's fit reads its own S_k from it
-    acs = autocov_set(x, sorted(set().union(*lag_sets)), centered=not args.no_center)
+    acs = autocov_set(x, sorted(set().union(*lag_sets)))
     where = {k: a for a, k in enumerate(acs.lags)}
     scored = []
     for lags in lag_sets:
@@ -272,12 +272,8 @@ def _check_solver_options(args):
 
 def _add_fit_options(sp):
     sp.add_argument("--method", default="symmetric-jacobi", choices=joint_diag._KERNELS)
-    sp.add_argument("--tau", type=int, default=None,
-                    help="lag diagonalized by amuse (default: smallest)")
     _add_solver_options(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--no-center", action="store_true",
-                    help="skip mean removal (data already centered)")
 
 
 # one parser per process: building it costs dozens of parses, and parse_args
@@ -307,6 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega", help="CSV with the true mixing matrix")
     sp.add_argument("--header", action="store_true")
     sp.add_argument("--output", required=True, help="output path prefix")
+    sp.add_argument("--tau", type=int, help="lag diagonalized by amuse (default: smallest)")
     _add_fit_options(sp)
     sp.set_defaults(func=cmd_separate)
 

@@ -96,9 +96,9 @@ def efficiency_sweep(specs, lags, t_values, methods, reps: int, seed=0, jobs: in
     """T (p - 1) mdi^2 of the unmixing estimates of ``reps`` replicates of the
     sources ``specs``, as ``{T: {method: (reps,)}}``; every ValueError comes
     before any draw.  Rep r is, bit for bit, the public chain at each T:
-    ``simulate_sources(specs, T, (seed, r))``, ``autocov_set(..., lags,
-    centered=True)`` and ``method``'s fit with ``options[method]`` (one not given
-    keeps the kernel's default), deflation's restarts from ``default_rng((seed, r, 1))``.
+    ``simulate_sources(specs, T, (seed, r))``, ``autocov_set(..., lags)`` and
+    ``method``'s fit with ``options[method]`` (one not given keeps the kernel's
+    default), deflation's restarts from ``default_rng((seed, r, 1))``.
     Blocks of at most _BLOCK_REPS reps, at least one per job, are solved
     together, in at most ``jobs`` processes; no value depends on the blocks."""
     for name, count in (("reps", reps), ("jobs", jobs)):
@@ -155,7 +155,7 @@ def _block_lag_matrices(plan, lags, t_values, reps, seed) -> dict[int, autocovar
         for z, acs in zip(series, out.values()):
             signal_model._filter_sources(plan, eps[: p * (plan.pre + z.shape[-1])].reshape(p, -1), z)
             autocovariance._check_finite(z)
-            s = autocovariance._products(z, (0,) + lags, centered=True)
+            s = autocovariance._products(z, (0,) + lags)
             acs.s0[b], acs.sk[b] = s[0], s[1:]
     return out
 

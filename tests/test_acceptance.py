@@ -97,7 +97,7 @@ def test_criterion_03_exact_recovery():
 def test_criterion_04_estimating_residuals():
     for name, seed in itertools.product("abcd", (0, 1)):
         z = simulate_sources(benchmark_model(name), T=2000, seed=seed)
-        acs = autocov_set(z, LAGS, centered=True)
+        acs = autocov_set(z, LAGS)
         for solver in (sobi_deflation, sobi_symmetric_fixedpoint,
                        sobi_symmetric_jacobi):
             res = solver(acs)
@@ -109,7 +109,7 @@ def test_criterion_05_fixedpoint_jacobi_agreement():
     agree = 0
     for i, name in enumerate("abcd" * 25):
         z = simulate_sources(benchmark_model(name), T=1000, seed=1000 + i)
-        acs = autocov_set(z, LAGS, centered=True)
+        acs = autocov_set(z, LAGS)
         fp = sobi_symmetric_fixedpoint(acs)
         jc = sobi_symmetric_jacobi(acs)
         if mdi(fp.gamma @ np.linalg.inv(jc.gamma)) < 1e-6:
@@ -140,7 +140,7 @@ def test_criterion_07_unmixing_variance_oracle():
     entries = np.empty(reps)
     for r in range(reps):
         z = simulate_sources(specs, T, seed=(7, r))
-        res = sobi_symmetric_jacobi(autocov_set(z, LAGS, centered=True))
+        res = sobi_symmetric_jacobi(autocov_set(z, LAGS))
         entries[r] = res.gamma[1, 0]
     var = T * entries.var()
     assert abs(var - exact) < 0.15 * exact, (var, exact)
@@ -165,13 +165,13 @@ def test_criterion_08_mdi_matches_enumeration():
 
 def test_criterion_09_affine_equivariance():
     z = simulate_sources(benchmark_model("c"), T=2000, seed=9)
-    acs = autocov_set(z, LAGS, centered=True)
+    acs = autocov_set(z, LAGS)
     base = {"deflation": sobi_deflation(acs),
             "symmetric": sobi_symmetric_jacobi(acs)}
     rng = np.random.default_rng(90)
     for _ in range(50):
         a = rng.uniform(-1.0, 1.0, size=(3, 3)) + 3.0 * np.eye(3)
-        acs_a = autocov_set(a @ z, LAGS, centered=True)
+        acs_a = autocov_set(a @ z, LAGS)
         for label, fit in (("deflation", sobi_deflation),
                            ("symmetric", sobi_symmetric_jacobi)):
             gain = fit(acs_a).gamma @ a @ np.linalg.inv(base[label].gamma)
@@ -180,7 +180,7 @@ def test_criterion_09_affine_equivariance():
 
 def test_criterion_10_empirical_asv_plugin():
     z = simulate_sources(benchmark_model("d"), T=10**5, seed=10)
-    acs = autocov_set(z, LAGS, centered=True)
+    acs = autocov_set(z, LAGS)
     res = sobi_symmetric_jacobi(acs)
     emp = empirical_asv(z, res, LAGS).per_element
     exps = [expand_to_ma(s) for s in benchmark_model("d")]

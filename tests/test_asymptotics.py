@@ -100,6 +100,13 @@ def test_d_symmetric_in_lag_order():
     np.testing.assert_allclose(model.d, model.d.transpose(1, 0, 2, 3), atol=1e-12)
 
 
+def test_fast_len_is_scipys_next_fast_real_len():
+    # the FFT periods of the D kernel and the plug-in autocovariances
+    from scipy.fft import next_fast_len
+    ns = range(1, 10**5 + 1)
+    assert [asymptotics._fast_len(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
 def test_d_tensor_runs_once_per_model(monkeypatch):
     # the model carries lambda and D; tables and methods only read them
     calls = []
@@ -112,7 +119,7 @@ def test_d_tensor_runs_once_per_model(monkeypatch):
         asv(model, method)
     assert len(calls) == 1
     x = simulate_sources(benchmark_model("c"), T=500, seed=1)
-    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
+    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS)), LAGS)
     assert len(calls) == 2
 
 
@@ -182,7 +189,7 @@ def test_d_kernel_matches_per_shift_matmuls(name, lags, beta):
 def test_d_kernel_matches_per_shift_matmuls_on_plug_in_rows(monkeypatch):
     # the plug-in is normal-innovation: beta 3 on the diagonal, 1 off it, and no F_k
     x = simulate_sources(benchmark_model("c"), T=2000, seed=5)
-    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS))
     calls = []  # the kernel's arguments, then the lambda and D that the table reads
     kernel, table = asymptotics._d_tensor, asymptotics._asv_table
     monkeypatch.setattr(asymptotics, "_d_tensor",
@@ -302,7 +309,7 @@ def test_asv_table_matches_the_einsum_quadratic_form(monkeypatch):
     table = asymptotics._asv_table
     monkeypatch.setattr(asymptotics, "_asv_table",
                         lambda *args: cases.append(args[:2]) or table(*args))
-    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True)), LAGS)
+    empirical_asv(x, sobi_symmetric_jacobi(autocov_set(x, LAGS)), LAGS)
     assert len(cases) == 9
     for lam, d in cases:
         for method in ("deflation", "symmetric"):
@@ -333,7 +340,7 @@ def test_lag_checks_are_autocov_sets(lags):
     with pytest.raises(ValueError) as want:
         _check_lags(lags)
     x = simulate_sources(benchmark_model("d"), T=400, seed=2)
-    res = sobi_symmetric_jacobi(autocov_set(x, (1, 2), centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, (1, 2)))
     for call in (lambda: build_model(sorted_expansions("d"), lags),
                  lambda: empirical_asv(x, res, lags)):
         with pytest.raises(ValueError) as got:
@@ -596,7 +603,7 @@ def test_transform_validation():
 def test_empirical_asv_close_to_exact_for_ar1_model():
     z = simulate_sources(benchmark_model("d"), T=30000, seed=77)
     lags = LAGS
-    acs = autocov_set(z, lags, centered=True)
+    acs = autocov_set(z, lags)
     res = sobi_symmetric_jacobi(acs)
     emp = empirical_asv(z, res, lags).per_element
     exact = asv(build_model(sorted_expansions("d"), lags), "symmetric").per_element
@@ -610,7 +617,7 @@ def test_empirical_asv_duplicate_structure_rejected():
     x = np.vstack([row, row])
     res = sobi_symmetric_jacobi(
         autocov_set(np.vstack([row, rng.standard_normal(4000)]),
-                    (1, 2, 3), centered=True))
+                    (1, 2, 3)))
     dummy = dataclasses.replace(res, gamma=np.eye(2))
     with pytest.raises(ValueError, match="identifiability failure"):
         empirical_asv(x, dummy, (1, 2, 3))
@@ -618,7 +625,7 @@ def test_empirical_asv_duplicate_structure_rejected():
 
 def test_empirical_asv_validation():
     x = np.random.default_rng(6).standard_normal((2, 100))
-    res = sobi_symmetric_jacobi(autocov_set(x, (1,), centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, (1,)))
     with pytest.raises(ValueError, match="positive"):
         empirical_asv(x, res, ())
     with pytest.raises(ValueError, match="horizon too small"):
@@ -637,7 +644,7 @@ def test_empirical_asv_validation():
 def test_empirical_asv_refuses_what_autocov_set_refuses(case):
     # in autocov_set's words, with no numpy warning on the way
     x = simulate_sources(benchmark_model("c"), T=600, seed=2)
-    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS))
     bad = x.copy()
     bad[1, 7] = np.nan
     data, message = {
@@ -652,7 +659,7 @@ def test_empirical_asv_refuses_what_autocov_set_refuses(case):
             empirical_asv(data, res, LAGS)
         if case != "rows":
             with pytest.raises(ValueError, match=f"^{message}$"):
-                autocov_set(data, LAGS, centered=True)
+                autocov_set(data, LAGS)
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-320])
@@ -660,7 +667,7 @@ def test_empirical_asv_refuses_a_series_whose_variance_underflows(scale):
     # the recovered sources' squares underflow, so a lag-0 autocovariance is
     # zero: one error that names it, and no numpy warning before it
     x = simulate_sources(benchmark_model("c"), T=600, seed=2)
-    res = sobi_symmetric_jacobi(autocov_set(x, LAGS, centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, LAGS))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^series values too small: "
@@ -766,7 +773,7 @@ def reference_empirical_asv(x, gamma, lags, method):
 def test_empirical_asv_matches_direct_formulas(lags):
     z = simulate_sources(benchmark_model("d"), T=3000, seed=11)
     x = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.1, 1.0]]) @ z
-    res = sobi_symmetric_jacobi(autocov_set(x, lags, centered=True))
+    res = sobi_symmetric_jacobi(autocov_set(x, lags))
     for method in ("deflation", "symmetric"):
         # the formulas follow the fit's method: deflation's, or the symmetric ones
         fit = dataclasses.replace(res, method="deflation") if method == "deflation" else res

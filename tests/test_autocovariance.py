@@ -14,17 +14,18 @@ from sobikit.presets import benchmark_model
 from sobikit.signal_model import simulate_sources
 
 
-def lag_matrix(x, k, centered=False):
+def lag_matrix(x, k):
     """S_k of x alone, from autocov_set: its S_0 at k = 0, else its one S_k."""
-    acs = autocov_set(x, (k,) if k else (), centered=centered)
+    acs = autocov_set(x, (k,) if k else ())
     return acs.sk[0] if k else acs.s0
 
 
 def test_univariate_hand_example():
-    # (1/(2(T-k))) * ((1*2 + 2*1) + (2*3 + 3*2)) with T = 3, k = 1
-    s1 = lag_matrix(np.array([[1.0, 2.0, 3.0]]), 1)
+    # x = (1, 3, 2) centres to (-1, 1, 0):
+    # (1/(2(T-k))) * ((-1*1 + 1*-1) + (1*0 + 0*1)) with T = 3, k = 1
+    s1 = lag_matrix(np.array([[1.0, 3.0, 2.0]]), 1)
     assert s1.shape == (1, 1)
-    assert s1[0, 0] == 4.0
+    assert s1[0, 0] == -0.5
 
 
 def test_zero_input_gives_zero_matrices():
@@ -36,7 +37,8 @@ def test_zero_input_gives_zero_matrices():
 def test_lag0_is_gram_matrix_over_T():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 37))
-    np.testing.assert_array_equal(lag_matrix(x, 0), (x @ x.T) / 37)
+    xc = x - x.mean(axis=1, keepdims=True)
+    np.testing.assert_array_equal(lag_matrix(x, 0), (xc @ xc.T) / 37)
 
 
 def test_white_noise_lag0_near_identity():
@@ -72,7 +74,7 @@ def test_centering_matches_manual_demeaning():
     x = rng.standard_normal((2, 50)) + 5.0
     manual = x - x.mean(axis=1, keepdims=True)
     np.testing.assert_allclose(
-        lag_matrix(x, 3, centered=True), lag_matrix(manual, 3),
+        lag_matrix(x, 3), lag_matrix(manual, 3),
         atol=1e-14)
 
 
@@ -148,14 +150,13 @@ def test_autocorrelations_eigenvalues_under_population_mixing():
 
 
 def test_batched_kernels_round_like_the_one_series_arithmetic():
-    # the lag products of each series of a (B, p, T) stack, and the whitening
-    # kernels over their (B, ...) stacks, must give each series the bits of
-    # the one-series arithmetic written out with 2-D products
+    # the lag products of each series of a (B, p, T) stack, which centre it in
+    # place, and the whitening kernels over their (B, ...) stacks, must give
+    # each series the bits of the one-series arithmetic written out with 2-D products
     rng = np.random.default_rng(12)
     x = rng.standard_normal((5, 3, 3)) @ rng.standard_normal((5, 3, 400)).cumsum(axis=-1)
-    x -= x.mean(axis=-1, keepdims=True)
     lags = (1, 4, 9)
-    s = np.stack([_products(xb, (0,) + lags, centered=False) for xb in x])
+    s = np.stack([_products(xb, (0,) + lags) for xb in x])
     s0, S = s[:, 0], s[:, 1:]
     W = whitener(s0)
     R = autocorrelations(AutocovSet(s0, S, lags), W)
@@ -180,9 +181,10 @@ def test_centering_leaves_the_callers_series_alone():
     # the product code centres its series in place, so autocov_set hands it a copy
     x = np.random.default_rng(3).standard_normal((2, 50)) + 5.0
     before = x.copy()
-    acs = autocov_set(x, (1, 2), centered=True)
+    acs = autocov_set(x, (1, 2))
     np.testing.assert_array_equal(x, before)
-    np.testing.assert_array_equal(acs.s0, autocov_set(x - x.mean(axis=1, keepdims=True), ()).s0)
+    xc = x - x.mean(axis=1, keepdims=True)
+    np.testing.assert_array_equal(acs.s0, xc @ xc.T / 50)
 
 
 def test_batched_whitening_rejects_a_block_with_one_singular_matrix():
@@ -191,14 +193,13 @@ def test_batched_whitening_rejects_a_block_with_one_singular_matrix():
         whitener(s0)
 
 
-@pytest.mark.parametrize("centered", [False, True])
-def test_overflowing_products_raise_without_a_warning(centered):
+def test_overflowing_products_raise_without_a_warning():
     # finite values whose products leave the float range
     x = np.random.default_rng(0).standard_normal((2, 40)) * 1e200
     with pytest.raises(ValueError, match="overflow"):
-        autocov_set(x, (1, 2), centered=centered)
+        autocov_set(x, (1, 2))
     with pytest.raises(ValueError, match="overflow"):
-        autocov_set(x, (), centered=centered)
+        autocov_set(x, ())
     # large values whose products stay finite pass
-    acs = autocov_set(x * 1e-50, (1, 2), centered=centered)
+    acs = autocov_set(x * 1e-50, (1, 2))
     assert np.all(np.isfinite(acs.s0)) and np.all(np.isfinite(acs.sk))

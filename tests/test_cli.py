@@ -122,6 +122,37 @@ def test_cli_import_leaves_scipy_signal_and_optimize_unloaded():
     assert run.stdout == "[]\n"
 
 
+def test_analysis_commands_load_no_scipy_module(tmp_path):
+    # the FFTs of the ASV kernels are numpy's: only simulating or expanding
+    # AR/ARMA sources and mdi at p > 5 import scipy
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(0).standard_normal((300, 2)), delimiter=",")
+    argvs = [["separate", "--data", str(data), "--lags", "1-3", "--output", str(tmp_path / "s")],
+             ["lagselect", "--data", str(data), "--lag-sets", "1;1-3"],
+             ["asv", "--preset", "a", "--lags", "1-3"]]
+    code = ("import json, sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from sobikit.cli import main\n"
+            "seen = [loaded()]\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    seen.append(loaded())\n"
+            "print(json.dumps(seen))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sobikit.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [[]] * 4
+
+
+@pytest.mark.parametrize("argv", [["separate", "--lags", "1", "--output", "s", "--no-center"],
+                                  ["lagselect", "--lag-sets", "1;2", "--no-center"],
+                                  ["lagselect", "--lag-sets", "1;2", "--tau", "1"]])
+def test_removed_centring_and_tau_options_are_refused(dataset, argv):
+    # the fits always centre, and amuse's tau is separate's alone
+    code, out, err = run_main([argv[0], "--data", dataset, *argv[1:]])
+    assert (code, out) == (2, "") and "unrecognized arguments" in err[-1]
+
+
 def test_read_series_rows_are_contiguous(dataset):
     # loadtxt reads rows = time points; its transpose would be strided
     x = _read_series(dataset)
@@ -136,7 +167,7 @@ def test_results_do_not_depend_on_the_memory_layout():
     args = cli.build_parser().parse_args(["lagselect", "--data", "x.csv", "--lag-sets", "1;2"])
 
     def outputs(series):
-        acs = autocov_set(series, lags, centered=True)
+        acs = autocov_set(series, lags)
         fits = [cli._fit(acs, name, args) for name in _KERNELS]
         tables = [asymptotics.empirical_asv(series, fit, lags).per_element
                   for fit in fits if fit.method != "amuse"]  # amuse takes one lag
@@ -214,10 +245,11 @@ def test_separate_amuse_tau(dataset, tmp_path):
 
 
 def test_separate_amuse_reports_an_eigenvalue_tie(tmp_path):
-    # three sources on disjoint stretches of time, the first two equal: the
-    # uncentred S_0 and S_1 are diagonal, and R_1 has a tied pair of eigenvalues
+    # three de-meaned sources on disjoint stretches of time, the first two
+    # equal: S_0 and S_1 are diagonal, and R_1 has a tied pair of eigenvalues
     a, c = simulate_sources([SourceSpec("ar", ar=(0.5,)), SourceSpec("ar", ar=(-0.3,))],
                             400, 0)
+    a, c = a - a.mean(), c - c.mean()
     x = np.zeros((3, 3 * 420))
     for i, s in enumerate((a, a, c)):
         x[i, 420 * i + 10: 420 * i + 410] = s
@@ -225,7 +257,7 @@ def test_separate_amuse_reports_an_eigenvalue_tie(tmp_path):
     np.savetxt(data, x.T, delimiter=",", fmt="%.17g")
     with pytest.warns(RuntimeWarning, match="eigenvalue tie"):
         code = main(["separate", "--data", str(data), "--lags", "1", "--method", "amuse",
-                     "--no-center", "--output", str(tmp_path / "sep")])
+                     "--output", str(tmp_path / "sep")])
     assert code == 0
     assert json.loads((tmp_path / "sep.json").read_text())["warnings"] == ["eigenvalue tie"]
 
@@ -475,8 +507,7 @@ def test_benchmark_averages_follow_the_public_chain(capsys):
     specs = benchmark_model("b")
     vals = {"deflation": [], "symmetric-jacobi": [], "amuse": []}
     for rep in range(reps):
-        acs = autocov_set(simulate_sources(specs, T, (seed, rep)), range(1, 11),
-                          centered=True)
+        acs = autocov_set(simulate_sources(specs, T, (seed, rep)), range(1, 11))
         fits = {"deflation": sobi_deflation(acs, seed=(seed, rep, 1)),
                 "symmetric-jacobi": sobi_symmetric_jacobi(acs),
                 "amuse": amuse(acs, 1)}
@@ -645,7 +676,7 @@ def test_block_lag_matrices_match_the_public_chain(cuts):
         R = autocorrelations(block, W)
         assert block.lags == lags and block.sk.shape == (len(reps), len(lags), 3, 3)
         for b, rep in enumerate(reps):
-            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
+            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags)
             w = whitener(acs.s0)
             np.testing.assert_array_equal(block.s0[b], acs.s0)
             np.testing.assert_array_equal(block.sk[b], acs.sk)
@@ -680,8 +711,8 @@ def test_benchmark_fixedpoint_follows_the_public_chain(capsys):
                  "--methods", "symmetric-fixedpoint", "--seed", str(seed)]) == 0
     printed = float(capsys.readouterr().out.split(",")[3])
     vals = [T * 2 * mdi(sobi_symmetric_fixedpoint(autocov_set(
-                simulate_sources(benchmark_model("c"), T, (seed, rep)), range(1, 11),
-                centered=True)).gamma) ** 2 for rep in range(reps)]
+                simulate_sources(benchmark_model("c"), T, (seed, rep)), range(1, 11))).gamma) ** 2
+            for rep in range(reps)]
     assert printed == float(np.mean(vals))
 
 
@@ -876,7 +907,7 @@ def test_lagselect_matches_the_per_set_chain(dataset, method, kmax):
     expected = []
     for spec in sets.split(";"):
         lags = _parse_lags(spec)
-        acs = autocov_set(x, lags, centered=True)
+        acs = autocov_set(x, lags)
         result = cli._fit(acs, method, args)
         table = asymptotics.empirical_asv(x, result, lags, kmax=kmax)
         expected.append((float(table.row_sums().sum()), " ".join(map(str, lags))))
@@ -958,8 +989,7 @@ def test_cached_parser_gives_what_a_fresh_one_gives(dataset, tmp_path):
         ["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5", "--rows", "2"],
         ["asv", "--preset", "c", "--lags", "1-3"],
         ["lagselect", "--data", dataset, "--lag-sets", "1;2", "--method", "amuse"],
-        ["separate", "--data", dataset, "--lags", "1-4", "--no-center",
-         "--output", str(tmp_path / "s")],
+        ["separate", "--data", dataset, "--lags", "1-4", "--output", str(tmp_path / "s")],
         ["lagselect", "--data", dataset, "--lag-sets", "1-3;1-5"],
         ["benchmark", "--preset", "d", "--lags", "1-2", "--reps", "2", "--T-values", "200",
          "--methods", "amuse"],

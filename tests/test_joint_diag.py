@@ -134,7 +134,7 @@ def test_orthogonality_and_whitening_invariants(method):
     x = mix(z, MixingModel(omega=np.array([[2.0, 0.5, -0.3],
                                            [0.1, 1.0, 0.4],
                                            [-0.6, 0.2, 1.5]])))
-    acs = autocov_set(x, range(1, 11), centered=True)
+    acs = autocov_set(x, range(1, 11))
     res = fitted(method, acs)
     p = acs.s0.shape[-1]
     assert np.max(np.abs(res.u @ res.u.T - np.eye(p))) < 1e-8
@@ -145,10 +145,10 @@ def test_orthogonality_and_whitening_invariants(method):
 @pytest.mark.parametrize("method", ["deflation", "jacobi"])
 def test_affine_equivariance(method):
     z = simulate_sources(benchmark_model("d"), T=4000, seed=12)
-    acs_z = autocov_set(z, range(1, 11), centered=True)
+    acs_z = autocov_set(z, range(1, 11))
     res_z = fitted(method, acs_z)
     a = np.random.default_rng(13).uniform(-1, 1, size=(3, 3)) + 2 * np.eye(3)
-    acs_az = autocov_set(a @ z, range(1, 11), centered=True)
+    acs_az = autocov_set(a @ z, range(1, 11))
     res_az = fitted(method, acs_az)
     gain = res_az.gamma @ a @ np.linalg.inv(res_z.gamma)
     assert mdi(gain) < 1e-6
@@ -157,7 +157,7 @@ def test_affine_equivariance(method):
 def test_fixedpoint_and_jacobi_agree():
     for name, seed in (("a", 20), ("d", 21)):
         z = simulate_sources(benchmark_model(name), T=2000, seed=seed)
-        acs = autocov_set(z, range(1, 11), centered=True)
+        acs = autocov_set(z, range(1, 11))
         fp = sobi_symmetric_fixedpoint(acs)
         jc = sobi_symmetric_jacobi(acs)
         assert mdi(fp.gamma @ np.linalg.inv(jc.gamma)) < 1e-6
@@ -165,7 +165,7 @@ def test_fixedpoint_and_jacobi_agree():
 
 def test_jacobi_criterion_monotone_over_sweeps():
     z = simulate_sources(benchmark_model("c"), T=1500, seed=30)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     objectives = [sobi_symmetric_jacobi(acs, max_iter=s).objective
                   for s in range(1, 7)]
     diffs = np.diff(objectives)
@@ -174,7 +174,7 @@ def test_jacobi_criterion_monotone_over_sweeps():
 
 def test_runs_are_bit_identical():
     z = simulate_sources(benchmark_model("b"), T=1200, seed=31)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     for method in ("amuse", "deflation", "fixedpoint", "jacobi"):
         g1 = fitted(method, acs).gamma
         g2 = fitted(method, acs).gamma
@@ -183,7 +183,7 @@ def test_runs_are_bit_identical():
 
 def test_deflation_restart_seeds_agree_on_solution():
     z = simulate_sources(benchmark_model("d"), T=3000, seed=32)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     g1 = sobi_deflation(acs, seed=0).gamma
     g2 = sobi_deflation(acs, seed=99).gamma
     assert mdi(g1 @ np.linalg.inv(g2)) < 1e-6
@@ -191,7 +191,7 @@ def test_deflation_restart_seeds_agree_on_solution():
 
 def test_converged_residuals_are_small():
     z = simulate_sources(benchmark_model("a"), T=2500, seed=33)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     for method in ("deflation", "fixedpoint", "jacobi"):
         res = fitted(method, acs)
         assert res.converged
@@ -200,7 +200,7 @@ def test_converged_residuals_are_small():
 
 def test_perturbed_solution_has_large_residual():
     z = simulate_sources(benchmark_model("a"), T=2500, seed=34)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     res = sobi_symmetric_jacobi(acs)
     theta = 0.1
     rot = np.eye(3)
@@ -212,7 +212,7 @@ def test_perturbed_solution_has_large_residual():
 
 def test_fixedpoint_reports_non_convergence():
     z = simulate_sources(benchmark_model("c"), T=800, seed=35)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     res = sobi_symmetric_fixedpoint(acs, max_iter=1)
     assert not res.converged
 
@@ -221,7 +221,7 @@ def test_fixedpoint_starts_from_the_smallest_lag():
     # with no iteration the fit is the AMUSE rows of lag 1, listed second here,
     # reordered by criterion
     z = simulate_sources(benchmark_model("c"), T=1000, seed=40)
-    acs = autocov_set(z, (3, 1, 2), centered=True)
+    acs = autocov_set(z, (3, 1, 2))
     res = sobi_symmetric_fixedpoint(acs, max_iter=0)
     assert (res.iterations, res.converged) == (0, False)
     assert sorted(map(tuple, res.u)) == sorted(map(tuple, amuse(acs, 1).u))
@@ -230,7 +230,7 @@ def test_fixedpoint_starts_from_the_smallest_lag():
 def test_amuse_defaults_to_the_smallest_lag():
     # the smallest lag, 1, is listed second
     z = simulate_sources(benchmark_model("c"), T=1000, seed=40)
-    acs = autocov_set(z, (3, 1, 2), centered=True)
+    acs = autocov_set(z, (3, 1, 2))
     default, lag_1 = amuse(acs), amuse(acs, 1)
     for field in dataclasses.fields(default):
         np.testing.assert_array_equal(getattr(default, field.name), getattr(lag_1, field.name))
@@ -259,7 +259,7 @@ def test_amuse_recovers_latent_series():
         [SourceSpec("ar", ar=(0.7,)), SourceSpec("ar", ar=(-0.4,))],
         T=5000, seed=36)
     x = mix(z, MixingModel(omega=np.array([[1.0, 0.8], [0.3, 1.0]])))
-    res = amuse(autocov_set(x, (1,), centered=True), 1)
+    res = amuse(autocov_set(x, (1,)), 1)
     rec = res.gamma @ (x - x.mean(axis=1, keepdims=True))
     corr = np.abs(np.corrcoef(np.vstack([rec, z]))[:2, 2:])
     best = max(corr[0, 0] + corr[1, 1], corr[0, 1] + corr[1, 0])
@@ -268,7 +268,7 @@ def test_amuse_recovers_latent_series():
 
 def test_rows_ordered_by_criterion():
     z = simulate_sources(benchmark_model("d"), T=20000, seed=37)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     for method in ("deflation", "fixedpoint", "jacobi"):
         res = fitted(method, acs)
         # strongest autocorrelation (phi = 0.6) extracted first
@@ -278,7 +278,7 @@ def test_rows_ordered_by_criterion():
 
 def test_row_signs_sum_nonnegative():
     z = simulate_sources(benchmark_model("b"), T=1500, seed=38)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     for method in ("amuse", "deflation", "fixedpoint", "jacobi"):
         u = fitted(method, acs).u
         assert np.all(u.sum(axis=1) >= 0)
@@ -286,7 +286,7 @@ def test_row_signs_sum_nonnegative():
 
 def test_deflation_reports_iteration_exhaustion():
     z = simulate_sources(benchmark_model("c"), T=800, seed=35)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     res = sobi_deflation(acs, max_iter=1)
     assert not res.converged
     assert res.iterations == 2   # one iteration on each of the p - 1 rows
@@ -294,7 +294,7 @@ def test_deflation_reports_iteration_exhaustion():
 
 def test_deflation_zero_restarts_means_one():
     z = simulate_sources(benchmark_model("b"), T=1000, seed=39)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     zero = sobi_deflation(acs, restarts=0, seed=4)
     one = sobi_deflation(acs, restarts=1, seed=4)
     np.testing.assert_array_equal(zero.u, one.u)
@@ -303,7 +303,7 @@ def test_deflation_zero_restarts_means_one():
 
 def test_jacobi_reports_sweep_exhaustion():
     z = simulate_sources(benchmark_model("c"), T=800, seed=35)
-    acs = autocov_set(z, range(1, 11), centered=True)
+    acs = autocov_set(z, range(1, 11))
     res = sobi_symmetric_jacobi(acs, max_iter=1)
     assert not res.converged and res.iterations == 1
 
@@ -317,7 +317,7 @@ def test_deflation_block_matches_each_problem_alone(options):
     # mixed models and sample sizes, so that problems converge at different
     # iterations and leave the active set at different times
     stacks = [lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
-                                    range(1, 11), centered=True))
+                                    range(1, 11)))
               for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800),
                                           ("a", 5000), ("b", 4000)])]
     block = deflation_block(np.stack(stacks), None,
@@ -338,7 +338,7 @@ def test_jacobi_block_matches_each_problem_alone(kernel, options):
     planted = planted_acs([[0.9**k, 0.5**k, 0.1**k] for k in range(1, 11)])
     stacks = [lag_stack(planted)] + [
         lag_stack(autocov_set(simulate_sources(benchmark_model(m), T, s),
-                              range(1, 11), centered=True))
+                              range(1, 11)))
         for s, (m, T) in enumerate([("b", 300), ("c", 2000), ("d", 800)])]
     block = kernel(np.stack(stacks), tuple(range(1, 11)), None, **options)
     assert block.converged[0] and block.iterations[0] < block.iterations[1:].min()
@@ -468,7 +468,7 @@ def test_block_kernels_round_like_the_sequential_loops(name, T):
     # model (b) has near-tied sources: one ulp of difference in the batched
     # arithmetic moves deflation's stopping iteration and shows up here
     stacks = np.stack([lag_stack(autocov_set(simulate_sources(benchmark_model(name), T, s),
-                                             range(1, 11), centered=True))
+                                             range(1, 11)))
                        for s in range(6)])
     defl = deflation_block(stacks, None, [np.random.default_rng((s, 1)) for s in range(6)])
     jac = jacobi_block(stacks, None, None)

@@ -167,7 +167,7 @@ def test_efficiency_sweep_follows_the_public_chain():
                                            for row in out.values())
     for T, row in out.items():
         for rep in range(5):
-            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags, centered=True)
+            acs = autocov_set(simulate_sources(specs, T, (seed, rep)), lags)
             fits = {"deflation": sobi_deflation(acs, restarts=2, seed=(seed, rep, 1)),
                     "amuse": amuse(acs, 3)}
             for method, fit in fits.items():
